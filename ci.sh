@@ -1,6 +1,7 @@
 #!/bin/sh
-# CI gate: build everything, run the test suites, check the fast-path
-# benchmarks against the committed baseline (BENCH_PR10.json), and verify
+# CI gate: build everything, run the test suites, smoke-run perfbench's
+# three workloads, check the fast-path benchmarks against the committed
+# baseline (BENCH_PR10.json), and verify
 # the sharded-execution determinism contract (shards=N byte-identical to
 # shards=1).  Referenced from README.md "Install and build".
 set -eu
@@ -11,6 +12,16 @@ dune build @all
 
 echo "== dune runtest"
 dune runtest
+
+echo "== perfbench smoke (seed 1, 1 s per workload; each run must end \"correct\": true)"
+for w in rc-perconn zipf-flash cluster-shards; do
+  out=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0)
+  printf '%s\n' "$out" | grep '^sim_fingerprint' | sed "s/^/$w: /"
+  if ! printf '%s\n' "$out" | tail -n 1 | grep -q '"correct": true'; then
+    echo "perfbench $w: result is not correct" >&2
+    exit 1
+  fi
+done
 
 echo "== bench smoke (tiny quotas, both Sim backends; executes the harness, gates nothing)"
 dune exec bench/main.exe -- --json --smoke --label ci-smoke > /dev/null

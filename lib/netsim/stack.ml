@@ -65,9 +65,11 @@ type t = {
   mutable on_readable : Socket.conn -> unit;
   mutable on_syn_drop : Socket.listen -> Ipaddr.t -> unit;
   pool : Workpool.t;
-  queues : (int, Workpool.queue * Container.t) Hashtbl.t;
+  queues : (int, Workpool.queue * Container.t * int) Hashtbl.t;
+      (* container id -> (queue, container, creation sequence) *)
   served_stamp : (int, int) Hashtbl.t; (* container id -> last service tick *)
   mutable service_tick : int;
+  mutable queue_seq : int; (* creation sequence of the next tracked queue *)
   mutable pending : int;
   mutable services : service list; (* specific first, catch-all last *)
   conns : Conn_table.t; (* every non-closed connection this stack created *)
@@ -342,7 +344,7 @@ let buffered_rx_bytes_walk t = Conn_table.fold t.conns ~init:0 sum_conn_rx
 let forget_container t container =
   let cid = Container.id container in
   (match Hashtbl.find_opt t.queues cid with
-  | Some (q, _) ->
+  | Some (q, _, _) ->
       let dropped = Workpool.queue_length q in
       if dropped > 0 then begin
         t.pending <- t.pending - dropped;
@@ -471,7 +473,7 @@ let rec perform t (w : Workpool.item) =
 and queue_for t container =
   let cid = Container.id container in
   match Hashtbl.find_opt t.queues cid with
-  | Some (q, _) -> q
+  | Some (q, _, _) -> q
   | None ->
       let q = Workpool.queue_create t.pool in
       (* Only live containers get a tracked queue: a service thread that
@@ -479,30 +481,40 @@ and queue_for t container =
          table entry with no hook left to prune it — a leak per churned
          container.  The untracked queue is a harmless sink. *)
       if not (Container.is_destroyed container) then begin
-        Hashtbl.replace t.queues cid (q, container);
+        Hashtbl.replace t.queues cid (q, container, t.queue_seq);
+        t.queue_seq <- t.queue_seq + 1;
         Container.on_destroy container (fun c -> forget_container t c)
       end;
       q
 
 and best_pending t ~covers ~allow_idle =
   (* Highest container priority wins; equal priorities are served
-     least-recently-first so no container can starve its peers. *)
-  let stamp c =
-    match Hashtbl.find_opt t.served_stamp (Container.id c) with Some s -> s | None -> -1
+     least-recently-first so no container can starve its peers.  Never-
+     served queues rank before every served one, oldest queue first: the
+     rank must be a total order of the rig's own making, never the fold
+     order, which follows the hash of the process-global container id. *)
+  let rank c seq =
+    match Hashtbl.find_opt t.served_stamp (Container.id c) with
+    | Some tick -> tick
+    | None -> seq - max_int
   in
-  Hashtbl.fold
-    (fun _ (q, c) acc ->
-      if Workpool.queue_is_empty q then acc
-      else if not (covers c) then acc
-      else if (not allow_idle) && is_idle_class c then acc
-      else
-        let prio = Attrs.effective_net_priority (Container.attrs c) in
-        match acc with
-        | Some (best, best_prio)
-          when best_prio > prio || (best_prio = prio && stamp best <= stamp c) ->
-            acc
-        | Some _ | None -> Some (c, prio))
-    t.queues None
+  let best =
+    Hashtbl.fold
+      (fun _ (q, c, seq) acc ->
+        if Workpool.queue_is_empty q then acc
+        else if not (covers c) then acc
+        else if (not allow_idle) && is_idle_class c then acc
+        else
+          let prio = Attrs.effective_net_priority (Container.attrs c) in
+          let r = rank c seq in
+          match acc with
+          | Some (_, best_prio, best_rank)
+            when best_prio > prio || (best_prio = prio && best_rank <= r) ->
+              acc
+          | Some _ | None -> Some (c, prio, r))
+      t.queues None
+  in
+  match best with Some (c, _, _) -> Some c | None -> None
 
 (* The covering service pinned to [steer] when one exists, else the first
    covering service (the uniprocessor case, and explicitly-added virtual
@@ -519,7 +531,7 @@ and service_covering t container ~steer =
 
 and service_has_work t svc =
   Hashtbl.fold
-    (fun _ (q, c) acc -> acc || ((not (Workpool.queue_is_empty q)) && svc.svc_covers c))
+    (fun _ (q, c, _) acc -> acc || ((not (Workpool.queue_is_empty q)) && svc.svc_covers c))
     t.queues false
 
 and pick_work t svc =
@@ -527,11 +539,7 @@ and pick_work t svc =
      positive count means someone other than this thread wants the CPU. *)
   let machine_otherwise_busy = Machine.runnable_tasks t.machine > 0 in
   let choice =
-    match
-      best_pending t ~covers:svc.svc_covers ~allow_idle:(not machine_otherwise_busy)
-    with
-    | Some (c, _) -> Some c
-    | None -> None
+    best_pending t ~covers:svc.svc_covers ~allow_idle:(not machine_otherwise_busy)
   in
   match choice with
   | None -> None
@@ -595,7 +603,7 @@ and enqueue_work t (work : Workpool.item) =
       | Some svc ->
           if not svc.svc_busy then begin
             (match (svc.svc_thread, best_pending t ~covers:svc.svc_covers ~allow_idle:true) with
-            | Some kthread, Some (best, _) when t.mode = Rc ->
+            | Some kthread, Some best when t.mode = Rc ->
                 Machine.rebind t.machine kthread best
             | (Some _ | None), (Some _ | None) -> ());
             Machine.Waitq.signal svc.svc_wq
@@ -753,6 +761,7 @@ let create ?(mtu = 1460) ?(latency = Simtime.us 150) ?(costs = default_costs)
       queues = Hashtbl.create 64;
       served_stamp = Hashtbl.create 64;
       service_tick = 0;
+      queue_seq = 0;
       pending = 0;
       services = [];
       conns = Conn_table.create ();
@@ -799,7 +808,7 @@ let create ?(mtu = 1460) ?(latency = Simtime.us 150) ?(costs = default_costs)
   if not (List.mem "net.pending-consistency" (I.names inv)) then begin
     I.register inv ~law:"net.pending-consistency" (fun () ->
         let queued =
-          Hashtbl.fold (fun _ (q, _) acc -> acc + Workpool.queue_length q) t.queues 0
+          Hashtbl.fold (fun _ (q, _, _) acc -> acc + Workpool.queue_length q) t.queues 0
         in
         I.equal_int ~what:"queued deferred packets vs stack pending counter" queued t.pending);
     I.register inv ~law:"net.queue-bounds" (fun () ->
@@ -851,7 +860,7 @@ let create ?(mtu = 1460) ?(latency = Simtime.us 150) ?(costs = default_costs)
         | Error _ as e -> e
         | Ok () ->
             let structural =
-              Hashtbl.fold (fun _ (q, _) acc -> acc + Workpool.queue_length q) t.queues 0
+              Hashtbl.fold (fun _ (q, _, _) acc -> acc + Workpool.queue_length q) t.queues 0
             in
             (match
                I.equal_int ~what:"pool queued counter vs per-container queue lengths"
@@ -859,7 +868,7 @@ let create ?(mtu = 1460) ?(latency = Simtime.us 150) ?(costs = default_costs)
              with
             | Error _ as e -> e
             | Ok () ->
-                if Hashtbl.fold (fun _ (q, _) acc -> acc && Workpool.queue_validate q) t.queues true
+                if Hashtbl.fold (fun _ (q, _, _) acc -> acc && Workpool.queue_validate q) t.queues true
                 then Ok ()
                 else Error "a per-container work queue fails structural validation"))
   end;

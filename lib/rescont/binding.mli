@@ -21,8 +21,9 @@ val resource_binding : t -> Container.t
 val set_resource_binding : t -> now:Engine.Simtime.t -> Container.t -> unit
 (** Rebind.  The new container joins the scheduler-binding set; the old one
     stays until pruned.  Thread-binding reference counts are maintained on
-    both containers.  @raise Container.Error if the target is destroyed or
-    not a leaf. *)
+    both containers.  O(1): the set is indexed by container, so neither a
+    hit nor a miss walks it.  @raise Container.Error if the target is
+    destroyed or not a leaf. *)
 
 val scheduler_binding : t -> Container.t list
 (** Containers currently in the scheduler binding, most recently used
@@ -36,12 +37,13 @@ val iter_scheduler_containers : t -> (Container.t -> unit) -> unit
 
 val touch : t -> now:Engine.Simtime.t -> unit
 (** Record use of the current resource binding (called when the thread is
-    charged), refreshing its recency in the scheduler-binding set. *)
+    charged), refreshing its recency in the scheduler-binding set.  O(1):
+    one store into the resource binding's cached set entry. *)
 
 val prune : t -> now:Engine.Simtime.t -> max_age:Engine.Simtime.span -> int
 (** Drop set entries whose last use is older than [max_age]; the resource
     binding itself is never dropped.  Returns the number removed.  The
-    kernel calls this periodically (§4.3). *)
+    kernel calls this periodically (§4.3).  O(set size). *)
 
 val reset_scheduler_binding : t -> now:Engine.Simtime.t -> unit
 (** Explicit reset to exactly the current resource binding (§4.3, §4.6). *)
@@ -50,4 +52,4 @@ val drop : t -> unit
 (** Release the thread's bindings entirely (thread exit). *)
 
 val size : t -> int
-(** Number of containers in the scheduler-binding set. *)
+(** Number of containers in the scheduler-binding set.  O(1). *)

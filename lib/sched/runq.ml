@@ -20,9 +20,16 @@ module Container = Rescont.Container
    a recursive walk.  Each ring caches its container's chain of count
    refs, keyed on the physical identity of [Container.ancestry] (which is
    rebuilt exactly when the topology above the container changes), so the
-   common bump is a straight array walk with no table lookups.  The counts
-   are keyed on the container topology generation and rebuilt from the
-   queues when the tree is re-shaped. *)
+   common bump is a straight array walk with no table lookups.
+
+   Every count is the sum, over the busy queues (live > 0) whose cached
+   chain holds it, of their live tasks.  When the container topology
+   generation moves, only the busy queues can hold stale contributions:
+   [sync] moves each one whose ancestry array changed from its old chain to
+   its new one, so a re-shape costs O(busy queues x depth) however many
+   queues and counters the run queue has ever created.  An idle queue
+   contributes nothing and re-chains at its next bump.  [busy] is that
+   dense set of busy queues, each queue knowing its own slot. *)
 
 type cq = {
   mutable tasks : Task.t array; (* ring buffer, capacity always a power of two *)
@@ -33,6 +40,7 @@ type cq = {
   mutable live : int;
   mutable chain : int ref array; (* cached subtree count refs along the ancestry *)
   mutable chain_key : Container.t array; (* the ancestry array [chain] was built from *)
+  mutable busy_ix : int; (* slot in [t.busy] while live > 0, else -1 *)
 }
 
 type t = {
@@ -43,6 +51,9 @@ type t = {
   mutable total : int; (* live tasks across all queues *)
   mutable next_stamp : int;
   mutable topo_gen : int;
+  mutable busy : cq array; (* [busy.(0 .. nbusy-1)]: the queues with live > 0 *)
+  mutable nbusy : int;
+  mutable rechain_refs : int; (* count refs written by [sync]'s re-chaining *)
 }
 
 (* Queue ids only ever participate in equality tests against
@@ -50,6 +61,8 @@ type t = {
 let next_rqid = Atomic.make 0
 
 let dummy_task : Task.t = Obj.magic 0
+
+let dummy_cq : cq = Obj.magic 0
 
 let create () =
   {
@@ -60,6 +73,9 @@ let create () =
     total = 0;
     next_stamp = 0;
     topo_gen = Container.topology_generation ();
+    busy = Array.make 8 dummy_cq;
+    nbusy = 0;
+    rechain_refs = 0;
   }
 
 let subtree_count_ref t container =
@@ -90,23 +106,49 @@ let bump_cq t cq delta =
     r := !r + delta
   done
 
-let bump_chain t container delta =
-  let chain = Container.ancestry container in
-  for i = 0 to Array.length chain - 1 do
-    let r = subtree_count_ref t (Array.unsafe_get chain i) in
-    r := !r + delta
-  done
-
-let rebuild_counts t =
-  Hashtbl.iter (fun _ r -> r := 0) t.counts;
-  Hashtbl.iter (fun _ cq -> if cq.live > 0 then bump_chain t cq.container cq.live) t.queues
+(* Move a busy queue's contribution from its cached chain to its current
+   ancestry, if that changed since the chain was built. *)
+let rechain t cq =
+  let ancestry = Container.ancestry cq.container in
+  if not (cq.chain_key == ancestry) then begin
+    let old = cq.chain in
+    for i = 0 to Array.length old - 1 do
+      let r = Array.unsafe_get old i in
+      r := !r - cq.live
+    done;
+    bump_cq t cq cq.live;
+    t.rechain_refs <- t.rechain_refs + Array.length old + Array.length cq.chain
+  end
 
 let sync t =
   let g = Container.topology_generation () in
   if g <> t.topo_gen then begin
     t.topo_gen <- g;
-    rebuild_counts t
+    for i = 0 to t.nbusy - 1 do
+      rechain t (Array.unsafe_get t.busy i)
+    done
   end
+
+let rechain_work t = t.rechain_refs
+
+let add_busy t cq =
+  if t.nbusy = Array.length t.busy then begin
+    let nb = Array.make (2 * t.nbusy) dummy_cq in
+    Array.blit t.busy 0 nb 0 t.nbusy;
+    t.busy <- nb
+  end;
+  cq.busy_ix <- t.nbusy;
+  t.busy.(t.nbusy) <- cq;
+  t.nbusy <- t.nbusy + 1
+
+let remove_busy t cq =
+  let last = t.nbusy - 1 in
+  let moved = t.busy.(last) in
+  t.busy.(cq.busy_ix) <- moved;
+  moved.busy_ix <- cq.busy_ix;
+  t.busy.(last) <- dummy_cq;
+  t.nbusy <- last;
+  cq.busy_ix <- -1
 
 let queue_for t container =
   let cid = Container.id container in
@@ -123,6 +165,7 @@ let queue_for t container =
           live = 0;
           chain = [||];
           chain_key = [||];
+          busy_ix = -1;
         }
       in
       Hashtbl.replace t.queues cid cq;
@@ -215,6 +258,7 @@ let enqueue t (task : Task.t) =
     end
     else Hashtbl.replace t.overflow task.Task.id (cid, stamp);
     cq.live <- cq.live + 1;
+    if cq.live = 1 then add_busy t cq;
     t.total <- t.total + 1;
     bump_cq t cq 1;
     if cq.len > 8 + (2 * cq.live) then compact_cq t cid cq
@@ -240,6 +284,7 @@ let dequeue t (task : Task.t) =
     match Hashtbl.find t.queues cid with
     | cq ->
         cq.live <- cq.live - 1;
+        if cq.live = 0 then remove_busy t cq;
         t.total <- t.total - 1;
         bump_cq t cq (-1)
     | exception Not_found -> ()
@@ -304,6 +349,7 @@ let validate t =
   sync t;
   let mismatch = ref None in
   let total = ref 0 in
+  let busy = ref 0 in
   Hashtbl.iter
     (fun cid cq ->
       let live = ref 0 in
@@ -313,12 +359,21 @@ let validate t =
         if entry_live t cid cq.tasks.(j) cq.stamps.(j) then incr live
       done;
       total := !total + !live;
+      if cq.live > 0 then incr busy;
       if !mismatch = None && cq.live <> !live then
         mismatch :=
           Some
             (Printf.sprintf "queue %s: live=%d but %d ring entries are live"
-               (Container.name cq.container) cq.live !live))
+               (Container.name cq.container) cq.live !live);
+      let listed = cq.busy_ix >= 0 && cq.busy_ix < t.nbusy && t.busy.(cq.busy_ix) == cq in
+      if !mismatch = None && listed <> (cq.live > 0) then
+        mismatch :=
+          Some
+            (Printf.sprintf "queue %s: live=%d but busy-set membership is %b"
+               (Container.name cq.container) cq.live listed))
     t.queues;
+  if !mismatch = None && t.nbusy <> !busy then
+    mismatch := Some (Printf.sprintf "busy set holds %d queues, %d are busy" t.nbusy !busy);
   if !mismatch = None && t.total <> !total then
     mismatch := Some (Printf.sprintf "total=%d but queues hold %d live entries" t.total !total);
   Hashtbl.iter

@@ -31,21 +31,30 @@ val container_has_work : t -> Rescont.Container.t -> bool
 
 val subtree_has_work : t -> Rescont.Container.t -> bool
 (** Does the container or any descendant have a queued task?  O(1): live
-    per-subtree task counts are maintained incrementally on
-    enqueue/dequeue and rebuilt only when the container tree is
-    re-shaped. *)
+    per-subtree task counts are maintained incrementally along each
+    queue's cached ancestor chain on enqueue/dequeue, plus the
+    re-chaining {!sync} does after the container tree is re-shaped. *)
 
 val subtree_count_ref : t -> Rescont.Container.t -> int ref
 (** The live-task counter backing {!subtree_has_work} for one container.
-    The ref's identity is stable across topology rebuilds, so policies may
+    The ref's identity is stable across topology changes, so policies may
     cache it in per-node indexes and read it on the pick fast path.
     Callers must never write through it. *)
 
 val sync : t -> unit
 (** Revalidate the subtree counters against the current container
-    topology (rebuilding them if containers were re-parented or
-    destroyed).  Policies call this once per pick before trusting cached
+    topology.  O(1) while the topology generation is unchanged; after a
+    re-parent or destroy, each queue holding live tasks whose ancestry
+    changed moves its count from its old ancestor chain to its new one, so
+    the cost is O(busy queues x depth), independent of how many queues and
+    counters were ever created.  Idle queues re-chain at their next
+    enqueue.  Policies call this once per pick before trusting cached
     {!subtree_count_ref} values. *)
+
+val rechain_work : t -> int
+(** Cumulative number of counter refs {!sync}'s re-chaining has written
+    (each moved queue counts its old chain plus its new one).  A
+    deterministic cost counter for tests. *)
 
 val containers_with_work : t -> Rescont.Container.t list
 (** Distinct containers with non-empty queues, in no specified order. *)

@@ -273,9 +273,21 @@ let test_empty_machine_no_stall () =
       (Simtime.to_ns (Procsim.Machine.now (Cluster.node_machine c i)))
   done
 
-(* Satellite: the usage-rollup property under sharding — same seeded
-   scenario at shards=1 and shards=4 must produce identical tenant rollup
-   totals and identical violation counts (and the law must hold in both). *)
+(* Tenant rollup totals, rollup law and violation count of one seeded
+   sharded run. *)
+let rollup_totals ~policy ~seed ~shards ~domains =
+  let c = sharded_run ~machines:4 ~policy ~seed ~rate:1200. ~shards ~domains () in
+  let per_tenant =
+    List.init (Cluster.tenant_count c) (fun k ->
+        let g = Cluster.tenant_group c k in
+        (Rollup.cpu_ns g, Rollup.rx_bytes g, Rollup.tx_bytes g))
+  in
+  let law_ok = match Cluster.rollup_law c with Ok () -> true | Error _ -> false in
+  (per_tenant, law_ok, List.length (Cluster.check_invariants c))
+
+(* The usage-rollup property under sharding — same seeded scenario at
+   shards=1 and shards=4 must produce identical tenant rollup totals and
+   identical violation counts (and the law must hold in both). *)
 let prop_sharded_rollup =
   QCheck2.Test.make ~name:"cluster.usage-rollup: shards=4 == shards=1" ~count:6
     QCheck2.Gen.(pair (int_range 0 2) (int_range 0 1000))
@@ -286,19 +298,38 @@ let prop_sharded_rollup =
         | 1 -> Cluster.Least_conns
         | _ -> Cluster.Flow_hash
       in
-      let totals shards domains =
-        let c = sharded_run ~machines:4 ~policy ~seed ~rate:1200. ~shards ~domains () in
-        let per_tenant =
-          List.init (Cluster.tenant_count c) (fun k ->
-              let g = Cluster.tenant_group c k in
-              (Rollup.cpu_ns g, Rollup.rx_bytes g, Rollup.tx_bytes g))
-        in
-        let law_ok = match Cluster.rollup_law c with Ok () -> true | Error _ -> false in
-        (per_tenant, law_ok, List.length (Cluster.check_invariants c))
-      in
-      let t1, ok1, v1 = totals 1 1 in
-      let t4, ok4, v4 = totals 4 4 in
+      let t1, ok1, v1 = rollup_totals ~policy ~seed ~shards:1 ~domains:1 in
+      let t4, ok4, v4 = rollup_totals ~policy ~seed ~shards:4 ~domains:4 in
       t1 = t4 && ok1 && ok4 && v1 = 0 && v4 = 0)
+
+(* The instance that once failed the property above: with least-conns
+   balancing, seed 393 reaches protocol-queue ties between never-served
+   containers, which were broken by the hash of the process-global
+   container id. *)
+let test_rollup_least_conns_393 () =
+  let t1, ok1, v1 = rollup_totals ~policy:Cluster.Least_conns ~seed:393 ~shards:1 ~domains:1 in
+  let t4, ok4, v4 = rollup_totals ~policy:Cluster.Least_conns ~seed:393 ~shards:4 ~domains:4 in
+  Alcotest.(check bool) "shards=4 rollups == shards=1" true (t1 = t4);
+  Alcotest.(check bool) "rollup law holds" true (ok1 && ok4);
+  Alcotest.(check int) "no violations at shards=1" 0 v1;
+  Alcotest.(check int) "no violations at shards=4" 0 v4
+
+(* Simulated output must not depend on absolute container ids: advancing
+   the process-wide id counter by throwaway containers before a run leaves
+   its rollups unchanged. *)
+let test_rollup_independent_of_id_offset () =
+  let run () = rollup_totals ~policy:Cluster.Least_conns ~seed:393 ~shards:1 ~domains:1 in
+  let base = run () in
+  List.iter
+    (fun shift ->
+      for _ = 1 to shift do
+        ignore (Rescont.Container.create_detached ())
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "rollups unchanged after %d extra containers" shift)
+        true
+        (run () = base))
+    [ 1; 4; 5; 9 ]
 
 let suite =
   [
@@ -322,4 +353,8 @@ let suite =
     Alcotest.test_case "idle machines advance with the windows" `Quick
       test_empty_machine_no_stall;
     QCheck_alcotest.to_alcotest prop_sharded_rollup;
+    Alcotest.test_case "usage-rollup pinned: least-conns seed 393" `Quick
+      test_rollup_least_conns_393;
+    Alcotest.test_case "rollups independent of container-id offset" `Quick
+      test_rollup_independent_of_id_offset;
   ]

@@ -282,6 +282,101 @@ let prop_desc_table_model =
       && List.sort compare (Hashtbl.fold (fun d _ acc -> d :: acc) model [])
          = Desc_table.descriptors table)
 
+(* Lockstep property: the indexed Binding and the list spec
+   (binding_spec.ml) see one random operation sequence; after every step
+   their resource binding, recency-sorted scheduler binding, unordered
+   visit order and size agree, and so do prune's counts and which rebinds
+   are refused. *)
+type binding_op =
+  | Rebind of int * int (* leaf index, time step *)
+  | Touch of int
+  | Prune of int * int (* time step, max age *)
+  | Reset of int
+  | Drop
+
+let print_binding_op = function
+  | Rebind (l, d) -> Printf.sprintf "Rebind(%d,+%d)" l d
+  | Touch d -> Printf.sprintf "Touch(+%d)" d
+  | Prune (d, a) -> Printf.sprintf "Prune(+%d,age %d)" d a
+  | Reset d -> Printf.sprintf "Reset(+%d)" d
+  | Drop -> "Drop"
+
+let prop_binding_matches_spec =
+  let open QCheck2 in
+  (* Steps of 0-3 ns against ages of 0-8 ns: equal timestamps (the stable
+     sort's ties) and prunes that drop some entries but not all are both
+     common. *)
+  let step = Gen.int_range 0 3 in
+  let op =
+    Gen.frequency
+      [
+        (8, Gen.map2 (fun l d -> Rebind (l, d)) (Gen.int_range 0 7) step);
+        (4, Gen.map (fun d -> Touch d) step);
+        (3, Gen.map2 (fun d a -> Prune (d, a)) step (Gen.int_range 0 8));
+        (1, Gen.map (fun d -> Reset d) step);
+        (1, Gen.pure Drop);
+      ]
+  in
+  Test.make ~name:"binding matches the list spec in lockstep" ~count:300
+    ~print:(fun ops -> String.concat " " (List.map print_binding_op ops))
+    Gen.(list_size (int_range 1 80) op)
+    (fun ops ->
+      let root = Container.create_root () in
+      let parent = Container.create ~parent:root ~attrs:(Attrs.fixed_share ~share:1.0 ()) () in
+      let leaves = Array.init 8 (fun i -> Container.create ~parent ~name:(Printf.sprintf "l%d" i) ()) in
+      let now = ref 0 in
+      let advance d =
+        now := !now + d;
+        Simtime.of_ns !now
+      in
+      let impl = Binding.create ~now:Simtime.zero leaves.(0) in
+      let spec = Binding_spec.create ~now:Simtime.zero leaves.(0) in
+      let visits iter =
+        let acc = ref [] in
+        iter (fun c -> acc := c :: !acc);
+        List.rev !acc
+      in
+      let same a b = List.length a = List.length b && List.for_all2 ( == ) a b in
+      let agree () =
+        Binding.resource_binding impl == Binding_spec.resource_binding spec
+        && same (Binding.scheduler_binding impl) (Binding_spec.scheduler_binding spec)
+        && same
+             (visits (Binding.iter_scheduler_containers impl))
+             (visits (Binding_spec.iter_scheduler_containers spec))
+        && Binding.size impl = Binding_spec.size spec
+      in
+      let refused f = match f () with () -> false | exception Invalid_argument _ -> true in
+      List.for_all
+        (fun op ->
+          let step_ok =
+            match op with
+            | Rebind (l, d) ->
+                let now = advance d in
+                let a = refused (fun () -> Binding.set_resource_binding impl ~now leaves.(l)) in
+                let b = refused (fun () -> Binding_spec.set_resource_binding spec ~now leaves.(l)) in
+                a = b
+            | Touch d ->
+                let now = advance d in
+                Binding.touch impl ~now;
+                Binding_spec.touch spec ~now;
+                true
+            | Prune (d, age) ->
+                let now = advance d in
+                let max_age = Simtime.span_of_ns age in
+                Binding.prune impl ~now ~max_age = Binding_spec.prune spec ~now ~max_age
+            | Reset d ->
+                let now = advance d in
+                Binding.reset_scheduler_binding impl ~now;
+                Binding_spec.reset_scheduler_binding spec ~now;
+                true
+            | Drop ->
+                Binding.drop impl;
+                Binding_spec.drop spec;
+                true
+          in
+          step_ok && agree ())
+        ops)
+
 let suite =
   [
     Alcotest.test_case "attrs constructors" `Quick test_attrs_constructors;
@@ -304,4 +399,5 @@ let suite =
     Alcotest.test_case "ops set parent" `Quick test_ops_set_parent;
     Alcotest.test_case "ops cost table" `Quick test_ops_costs_table;
     QCheck_alcotest.to_alcotest prop_desc_table_model;
+    QCheck_alcotest.to_alcotest prop_binding_matches_spec;
   ]

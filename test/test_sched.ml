@@ -82,6 +82,112 @@ let test_runq_subtree () =
   Alcotest.(check bool) "leaf work visible at root" true (Runq.subtree_has_work q root);
   Alcotest.(check bool) "and at parent" true (Runq.subtree_has_work q parent)
 
+(* The re-chaining after a topology change touches only busy queues: 10^4
+   cycles each create a per-connection leaf, queue a task on it while a
+   steady leaf stays busy, move the steady leaf between two parents, then
+   drain and destroy the per-connection leaf.  Every cycle costs the same
+   re-chaining work, bounded by busy queues x chain length per change, no
+   matter how many queues and counters earlier cycles left behind. *)
+let test_runq_rechain_cost_is_busy_only () =
+  let root = Container.create_root () in
+  let p1 = Container.create ~parent:root ~name:"p1" ~attrs:(fixed 0.5) () in
+  let p2 = Container.create ~parent:root ~name:"p2" ~attrs:(fixed 0.5) () in
+  let steady = Container.create ~parent:p1 ~name:"steady" () in
+  let q = Runq.create () in
+  Runq.enqueue q (task_on steady "steady");
+  let cycles = 10_000 and max_busy = 2 and chain_len = 3 in
+  let topology_changes = ref 0 in
+  let cycle i =
+    let conn = Container.create ~parent:p1 ~name:(Printf.sprintf "conn%d" i) () in
+    let task = task_on conn "conn" in
+    Runq.enqueue q task;
+    Container.set_parent steady (Some (if i land 1 = 0 then p2 else p1));
+    incr topology_changes;
+    Runq.sync q;
+    Runq.dequeue q task;
+    Binding.drop task.Task.binding;
+    Container.destroy conn;
+    incr topology_changes;
+    Runq.sync q
+  in
+  let work_over lo hi =
+    let before = Runq.rechain_work q in
+    for i = lo to hi - 1 do
+      cycle i
+    done;
+    Runq.rechain_work q - before
+  in
+  let first = work_over 0 1_000 in
+  let _ = work_over 1_000 (cycles - 1_000) in
+  let last = work_over (cycles - 1_000) cycles in
+  Alcotest.(check bool) "re-chaining happened" true (first > 0);
+  Alcotest.(check int) "last 1000 cycles cost what the first 1000 did" first last;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d refs <= busy x chain x 2 per change" (Runq.rechain_work q))
+    true
+    (Runq.rechain_work q <= !topology_changes * max_busy * chain_len * 2);
+  Alcotest.(check bool) "steady still visible at root" true (Runq.subtree_has_work q root);
+  Alcotest.(check bool) "validate" true (Runq.validate q = Ok ())
+
+(* Subtree counts survive re-parenting and destruction while tasks are
+   queued: after every step of a random sequence, [Runq.validate]'s
+   from-scratch recomputation agrees with the incrementally re-chained
+   counters. *)
+let prop_runq_counts_survive_reshaping =
+  let open QCheck2 in
+  let op =
+    Gen.(
+      frequency
+        [
+          (4, map (fun i -> `Enqueue i) (int_range 0 5));
+          (3, map (fun i -> `Dequeue i) (int_range 0 5));
+          (2, map2 (fun i l -> `Rebind (i, l)) (int_range 0 5) (int_range 0 5));
+          (3, map2 (fun c p -> `Reparent (c, p)) (int_range 0 8) (int_range 0 3));
+          (1, map (fun c -> `Destroy c) (int_range 0 8));
+        ])
+  in
+  let print = function
+    | `Enqueue i -> Printf.sprintf "enq %d" i
+    | `Dequeue i -> Printf.sprintf "deq %d" i
+    | `Rebind (i, l) -> Printf.sprintf "rebind %d->l%d" i l
+    | `Reparent (c, p) -> Printf.sprintf "reparent c%d->p%d" c p
+    | `Destroy c -> Printf.sprintf "destroy c%d" c
+  in
+  Test.make ~name:"runq counts valid under re-parent and destroy" ~count:200
+    ~print:(fun ops -> String.concat "; " (List.map print ops))
+    Gen.(list_size (int_range 1 60) op)
+    (fun ops ->
+      let root = Container.create_root () in
+      let mids =
+        Array.init 3 (fun i ->
+            Container.create ~parent:root ~name:(Printf.sprintf "m%d" i) ~attrs:(fixed 0.3) ())
+      in
+      let leaves =
+        Array.init 6 (fun i ->
+            Container.create ~parent:mids.(i mod 3) ~name:(Printf.sprintf "l%d" i) ())
+      in
+      (* Containers 0-2 are the mid-level ones, 3-8 the leaves; parent 3 is
+         "detached". *)
+      let node c = if c < 3 then mids.(c) else leaves.(c - 3) in
+      let parent_of p = if p < 3 then Some mids.(p) else None in
+      let tasks = Array.init 6 (fun i -> task_on leaves.(i) (Printf.sprintf "t%d" i)) in
+      let q = Runq.create () in
+      let tolerate f = try f () with Container.Error _ -> () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Enqueue i -> Runq.enqueue q tasks.(i)
+          | `Dequeue i -> Runq.dequeue q tasks.(i)
+          | `Rebind (i, l) ->
+              tolerate (fun () ->
+                  Binding.set_resource_binding tasks.(i).Task.binding ~now:Simtime.zero
+                    leaves.(l);
+                  if Runq.mem q tasks.(i) then Runq.requeue q tasks.(i))
+          | `Reparent (c, p) -> tolerate (fun () -> Container.set_parent (node c) (parent_of p))
+          | `Destroy c -> Container.destroy (node c));
+          Runq.validate q = Ok ())
+        ops)
+
 (* {1 Policy harness}
 
    Run a policy directly (no machine): repeatedly pick, charge a fixed
@@ -497,6 +603,9 @@ let suite =
     Alcotest.test_case "runq requeue" `Quick test_runq_requeue_moves;
     Alcotest.test_case "runq subtree" `Quick test_runq_subtree;
     Alcotest.test_case "runq lazy re-enqueue" `Quick test_runq_lazy_reenqueue;
+    Alcotest.test_case "runq re-chain cost is busy-only" `Quick
+      test_runq_rechain_cost_is_busy_only;
+    QCheck_alcotest.to_alcotest prop_runq_counts_survive_reshaping;
     Alcotest.test_case "timeshare equal sharing" `Quick test_timeshare_equal_sharing;
     Alcotest.test_case "timeshare priority weights" `Quick test_timeshare_priority_weighting;
     Alcotest.test_case "timeshare idle class" `Quick test_timeshare_idle_class;
