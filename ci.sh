@@ -1,5 +1,6 @@
 #!/bin/sh
-# CI gate: build everything, run the test suites, smoke-run perfbench's
+# CI gate: build everything, run the test suites (and the shard and
+# cluster suites again pinned to one CPU), smoke-run perfbench's
 # three workloads, check the fast-path benchmarks against the committed
 # baseline (BENCH_PR10.json), and verify
 # the sharded-execution determinism contract (shards=N byte-identical to
@@ -12,6 +13,10 @@ dune build @all
 
 echo "== dune runtest"
 dune runtest
+
+echo "== shard barrier on one CPU (every multi-domain run is oversubscribed and parks; a stalled barrier fails instead of hanging)"
+timeout 300 taskset -c 0 dune exec test/test_main.exe -- test shard
+timeout 300 taskset -c 0 dune exec test/test_main.exe -- test cluster
 
 echo "== perfbench smoke (seed 1, 1 s per workload; each run must end \"correct\": true)"
 for w in rc-perconn zipf-flash cluster-shards; do

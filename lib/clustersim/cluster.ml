@@ -208,6 +208,7 @@ let ring_lookup t h =
 let machines t = Array.length t.nodes
 let shards t = Shard.shards t.exec
 let domains t = Shard.domains t.exec
+let shard_stats t = Shard.stats t.exec
 let lookahead t = Simtime.span_of_ns t.window_ns
 let node_machine t i = t.nodes.(i).machine
 let node_stack t i = t.nodes.(i).stack

@@ -147,6 +147,12 @@ val shards : t -> int
 val domains : t -> int
 (** Actual counts after clamping (see {!create}). *)
 
+val shard_stats : t -> Engine.Shard.stats
+(** The shard executor's barrier counters ({!Engine.Shard.stats}): windows
+    run, barrier waits and parks, summed over every {!run_for}.  Host-side
+    self-measurement only; they enter no JSON artifact, fingerprint or
+    simulated metric.  In synchronous mode no window runs, so all are 0. *)
+
 val lookahead : t -> Engine.Simtime.span
 (** The dispatch window / conservative lookahead in force; zero means
     synchronous mode. *)

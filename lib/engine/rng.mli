@@ -4,7 +4,9 @@
     takes an explicit [Rng.t], so a run is a pure function of its seeds and
     experiments are exactly reproducible.  The generator is splitmix64,
     which is small, fast and statistically adequate for workload
-    generation. *)
+    generation.  A draw allocates nothing of its own: [int] and [bool]
+    allocate no words at all, [float] and [bits64] only their boxed
+    result. *)
 
 type t
 

@@ -1,13 +1,27 @@
 (* Conservative time-window barrier executor.  See shard.mli for the
    protocol and its determinism argument.
 
-   The barrier is a generation-counted mutex/condvar pair, the same shape
-   as Harness.Sweep's pool: the coordinator publishes (generation,
-   horizon) and broadcasts; each worker runs the shards of its lane and
-   decrements [pending]; the coordinator waits for [pending = 0], runs
-   the exchange, and publishes the next window.  Workers are spawned per
-   [run_windows] call and joined on exit (including the exception paths),
-   so the executor owns no long-lived threads. *)
+   The barrier is a generation counter and a pending-lane counter, both
+   [Atomic]s.  The caller publishes a window by setting [pending] and
+   [horizon] and then bumping [gen]; each worker waits for [gen] to move,
+   runs the shards of its lane and counts [pending] down; the caller waits
+   for [pending = 0], runs the exchange, and publishes the next window.
+   The atomics carry the happens-before edges both ways: everything a
+   lane wrote before its decrement is visible to the caller once it reads
+   0, and everything the exchange wrote before the bump is visible to a
+   worker that reads the new generation.
+
+   A waiter spins on its atomic with [Domain.cpu_relax] for [spin_budget]
+   iterations, about one window of lane work, and then parks on a
+   condition variable.  A sleeper registers in a [sleepers] count and
+   re-checks its condition under the mutex before it waits; a waker
+   changes the atomic first and then, only if someone is registered,
+   broadcasts under the mutex, so no wake-up is lost and the unparked
+   path takes no lock.  When there are more domains than the host
+   recommends, a spinner would only burn the core its partner needs, so
+   every wait parks at once.  Workers are spawned per [run_windows] call
+   and joined on exit (including the exception paths), so the executor
+   owns no long-lived threads. *)
 
 module Intbox = struct
   type t = { mutable buf : int array; mutable len : int }
@@ -48,29 +62,47 @@ module Intbox = struct
   let clear t = t.len <- 0
 end
 
-type t = { shards : int; domains : int }
+type stats = { windows : int; waits : int; parks : int }
+
+type t = {
+  shards : int;
+  domains : int;
+  spin : int; (* relax iterations before a wait parks; 0 = park at once *)
+  mutable windows : int;
+  mutable waits : int;
+  mutable parks : int;
+}
+
+(* Sized to about one window of lane work (on a 2-vCPU x86 VM, 36 ns per
+   relax, ~70 us in all), so that a lane waiting for its partner or for
+   the next window is usually released before it parks. *)
+let spin_budget = 2_000
 
 let create ?domains ~shards () =
   if shards < 1 then invalid_arg "Shard.create: shards must be >= 1";
+  let recommended = Domain.recommended_domain_count () in
   let domains =
     match domains with
     | Some d ->
         if d < 1 then invalid_arg "Shard.create: domains must be >= 1";
         Stdlib.min d shards
-    | None -> Stdlib.min shards (Domain.recommended_domain_count ())
+    | None -> Stdlib.min shards recommended
   in
-  { shards; domains }
+  let spin = if domains > recommended then 0 else spin_budget in
+  { shards; domains; spin; windows = 0; waits = 0; parks = 0 }
 
 let shards t = t.shards
 let domains t = t.domains
+let stats t = { windows = t.windows; waits = t.waits; parks = t.parks }
 
-let run_sequential ~prepare ~shards ~next ~work ~exchange =
+let run_sequential t ~prepare ~next ~work ~exchange =
   prepare ();
   let rec loop () =
     match next () with
     | None -> ()
     | Some h ->
-        for s = 0 to shards - 1 do
+        t.windows <- t.windows + 1;
+        for s = 0 to t.shards - 1 do
           work s h
         done;
         exchange h;
@@ -78,20 +110,72 @@ let run_sequential ~prepare ~shards ~next ~work ~exchange =
   in
   loop ()
 
-let run_parallel ~prepare t ~next ~work ~exchange =
-  let m = Mutex.create () in
-  let go = Condition.create () in
-  let all_done = Condition.create () in
-  let horizon = ref 0 in
-  let gen = ref 0 in
-  let pending = ref 0 in
-  let stop = ref false in
-  let failure = ref None in
-  let record e bt =
-    Mutex.lock m;
-    (match !failure with None -> failure := Some (e, bt) | Some _ -> ());
-    Mutex.unlock m
+(* Per-lane wait counters: each lane writes only its own, and the
+   caller adds the workers' in after joining them. *)
+type counts = { mutable n_waits : int; mutable n_parks : int }
+
+type barrier = {
+  horizon : int Atomic.t;
+  gen : int Atomic.t; (* bumped once per published window, and at stop *)
+  pending : int Atomic.t; (* worker lanes still running this window *)
+  stop : bool Atomic.t;
+  failure : (exn * Printexc.raw_backtrace) option Atomic.t; (* first one wins *)
+  m : Mutex.t;
+  go : Condition.t; (* workers park here for the next generation *)
+  idle : Condition.t; (* the caller parks here for pending = 0 *)
+  sleepers : int Atomic.t; (* domains registered to park on [go] or [idle] *)
+}
+
+let record b e bt = ignore (Atomic.compare_and_set b.failure None (Some (e, bt)))
+
+let wake b cond =
+  if Atomic.get b.sleepers > 0 then begin
+    Mutex.lock b.m;
+    Condition.broadcast cond;
+    Mutex.unlock b.m
+  end
+
+(* Wait until [ready b arg]: spin up to [spin] relaxes, then park on
+   [cond].  [ready] is one of the two closed functions below, never a
+   fresh closure, so waiting allocates nothing. *)
+let await b ~spin c cond ready arg =
+  if not (ready b arg) then begin
+    c.n_waits <- c.n_waits + 1;
+    let i = ref spin in
+    while !i > 0 && not (ready b arg) do
+      Domain.cpu_relax ();
+      decr i
+    done;
+    if !i = 0 then begin
+      c.n_parks <- c.n_parks + 1;
+      Mutex.lock b.m;
+      Atomic.incr b.sleepers;
+      while not (ready b arg) do
+        Condition.wait cond b.m
+      done;
+      Atomic.decr b.sleepers;
+      Mutex.unlock b.m
+    end
+  end
+
+let gen_moved b seen = Atomic.get b.gen <> seen
+let lanes_done b () = Atomic.get b.pending = 0
+
+let run_parallel t ~prepare ~next ~work ~exchange =
+  let b =
+    {
+      horizon = Atomic.make 0;
+      gen = Atomic.make 0;
+      pending = Atomic.make 0;
+      stop = Atomic.make false;
+      failure = Atomic.make None;
+      m = Mutex.create ();
+      go = Condition.create ();
+      idle = Condition.create ();
+      sleepers = Atomic.make 0;
+    }
   in
+  let spin = t.spin in
   (* Lane [l] owns shards l, l+domains, l+2*domains, ... — a static
      assignment, so which domain runs a shard never depends on timing. *)
   let lane_work lane h =
@@ -102,40 +186,36 @@ let run_parallel ~prepare t ~next ~work ~exchange =
     done
   in
   let worker lane () =
-    (try prepare () with e -> record e (Printexc.get_raw_backtrace ()));
+    let c = { n_waits = 0; n_parks = 0 } in
+    (try prepare () with e -> record b e (Printexc.get_raw_backtrace ()));
     let seen = ref 0 in
-    let running = ref true in
-    while !running do
-      Mutex.lock m;
-      while (not !stop) && !gen = !seen do
-        Condition.wait go m
-      done;
-      if !stop then begin
-        Mutex.unlock m;
-        running := false
-      end
-      else begin
-        let h = !horizon in
-        seen := !gen;
-        Mutex.unlock m;
-        (match !failure with
-        | Some _ -> () (* a window already failed; just drain the barrier *)
-        | None -> (
-            try lane_work lane h with e -> record e (Printexc.get_raw_backtrace ())));
-        Mutex.lock m;
-        decr pending;
-        if !pending = 0 then Condition.signal all_done;
-        Mutex.unlock m
-      end
-    done
+    await b ~spin c b.go gen_moved !seen;
+    while not (Atomic.get b.stop) do
+      seen := Atomic.get b.gen;
+      (match Atomic.get b.failure with
+      | Some _ -> () (* a window already failed; just drain the barrier *)
+      | None -> (
+          try lane_work lane (Atomic.get b.horizon)
+          with e -> record b e (Printexc.get_raw_backtrace ())));
+      if Atomic.fetch_and_add b.pending (-1) = 1 then wake b b.idle;
+      await b ~spin c b.go gen_moved !seen
+    done;
+    c
   in
   let workers = Array.init (t.domains - 1) (fun i -> Domain.spawn (worker (i + 1))) in
+  let own = { n_waits = 0; n_parks = 0 } in
   let shutdown () =
-    Mutex.lock m;
-    stop := true;
-    Condition.broadcast go;
-    Mutex.unlock m;
-    Array.iter Domain.join workers
+    Atomic.set b.stop true;
+    Atomic.incr b.gen;
+    wake b b.go;
+    Array.iter
+      (fun d ->
+        let c = Domain.join d in
+        own.n_waits <- own.n_waits + c.n_waits;
+        own.n_parks <- own.n_parks + c.n_parks)
+      workers;
+    t.waits <- t.waits + own.n_waits;
+    t.parks <- t.parks + own.n_parks
   in
   Fun.protect ~finally:shutdown (fun () ->
       prepare ();
@@ -143,19 +223,14 @@ let run_parallel ~prepare t ~next ~work ~exchange =
         match next () with
         | None -> ()
         | Some h ->
-            Mutex.lock m;
-            horizon := h;
-            incr gen;
-            pending := t.domains - 1;
-            Condition.broadcast go;
-            Mutex.unlock m;
-            (try lane_work 0 h with e -> record e (Printexc.get_raw_backtrace ()));
-            Mutex.lock m;
-            while !pending > 0 do
-              Condition.wait all_done m
-            done;
-            Mutex.unlock m;
-            (match !failure with
+            t.windows <- t.windows + 1;
+            Atomic.set b.pending (t.domains - 1);
+            Atomic.set b.horizon h;
+            Atomic.incr b.gen;
+            wake b b.go;
+            (try lane_work 0 h with e -> record b e (Printexc.get_raw_backtrace ()));
+            await b ~spin own b.idle lanes_done ();
+            (match Atomic.get b.failure with
             | Some (e, bt) -> Printexc.raise_with_backtrace e bt
             | None -> ());
             exchange h;
@@ -164,5 +239,5 @@ let run_parallel ~prepare t ~next ~work ~exchange =
       loop ())
 
 let run_windows ?(prepare = fun () -> ()) t ~next ~work ~exchange =
-  if t.domains = 1 then run_sequential ~prepare ~shards:t.shards ~next ~work ~exchange
-  else run_parallel ~prepare t ~next ~work ~exchange
+  if t.domains = 1 then run_sequential t ~prepare ~next ~work ~exchange
+  else run_parallel t ~prepare ~next ~work ~exchange

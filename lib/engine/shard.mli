@@ -17,9 +17,12 @@
 
     Memory model: shard state (sims, mailboxes being filled) is written
     only by the domain running that shard during a window; the exchange
-    step reads and writes any shard's state while the workers are parked
-    at the barrier.  The barrier mutex provides the happens-before edges
-    in both directions, so no atomics are needed in the mailboxes. *)
+    step reads and writes any shard's state while the workers wait at the
+    barrier.  The barrier's own [Atomic]s provide the happens-before edges
+    in both directions: a worker's decrement of the pending-lane count
+    publishes its window's writes to the caller, and the caller's bump of
+    the window generation publishes the exchange's writes to the workers.
+    So the shard state and the mailboxes need no atomics of their own. *)
 
 (** Flat integer mailbox: a growable [int array] written by one domain
     during a window and drained by the exchange step at the barrier.
@@ -57,6 +60,21 @@ val create : ?domains:int -> shards:int -> unit -> t
 val shards : t -> int
 val domains : t -> int
 
+type stats = {
+  windows : int;  (** horizons [next] returned, over every [run_windows] call *)
+  waits : int;
+      (** times a domain found the barrier closed and had to wait for it: a
+          worker for the next window, or the caller for the workers *)
+  parks : int;  (** waits that gave up spinning and blocked on the mutex *)
+}
+
+val stats : t -> stats
+(** Host-side counters of this executor's barrier, summed over its
+    [run_windows] calls (a worker's counts are added when it is joined).
+    They describe the simulator, not the simulated system: they are never
+    part of any simulated metric or result.  With one domain there is no
+    barrier, so [waits = parks = 0]. *)
+
 val run_windows :
   ?prepare:(unit -> unit) ->
   t ->
@@ -75,6 +93,12 @@ val run_windows :
 
     Shards are assigned to domains statically ([shard mod domains]) and
     the caller's own lane runs shard 0, so with one domain the loop is a
-    plain sequential iteration with no synchronisation.  An exception
-    raised by any [work] (on any domain) or by [exchange] is re-raised on
-    the calling domain after the workers are parked and joined. *)
+    plain sequential iteration with no synchronisation.  With several
+    domains, a domain that reaches the barrier first spins on it for about
+    one window of lane work and then parks on a condition variable until
+    it opens.  When [domains] exceeds [Domain.recommended_domain_count ()]
+    no domain spins: spinning would only take the core a lagging domain
+    needs, so every wait parks at once.  An exception raised by any
+    [work] (on any domain) or by [exchange] is re-raised on the calling
+    domain after the workers are parked and joined; when several raise,
+    the first one recorded wins. *)

@@ -235,6 +235,25 @@ let test_shards_identical_tiny_window () =
   let sharded = fingerprint (sharded_run ~window:w ~shards:2 ~domains:2 ()) in
   Alcotest.(check string) "10us windows: shards=2 == shards=1" base sharded
 
+let test_shard_stats () =
+  (* The executor's barrier counters reach the caller through Cluster:
+     one window per lookahead of simulated time, on each run_for call.
+     They are host-side only, so the results they sit beside stay equal
+     across domain counts (test above); here they must count right. *)
+  let windows_of c =
+    let w = Simtime.span_to_ns (Cluster.lookahead c) in
+    let per ms = (Simtime.span_to_ns (Simtime.ms ms) + w - 1) / w in
+    per 130 + per 70
+  in
+  let one = sharded_run ~shards:1 ~domains:1 () in
+  let st = Cluster.shard_stats one in
+  Alcotest.(check int) "shards=1: one window per lookahead" (windows_of one) st.windows;
+  Alcotest.(check (pair int int)) "shards=1: no barrier waits" (0, 0) (st.waits, st.parks);
+  let two = sharded_run ~shards:2 ~domains:2 () in
+  let st = Cluster.shard_stats two in
+  Alcotest.(check int) "shards=2: one window per lookahead" (windows_of two) st.windows;
+  Alcotest.(check bool) "shards=2: parks <= waits" true (st.parks <= st.waits)
+
 let test_sync_mode_zero_window () =
   (* window=0 selects the synchronous pre-sharding semantics: still a
      working cluster... *)
@@ -246,6 +265,7 @@ let test_sync_mode_zero_window () =
   Cluster.start c;
   Cluster.run_for c (Simtime.ms 300);
   Alcotest.(check bool) "sync mode serves" true (Cluster.completed c > 300);
+  Alcotest.(check int) "sync mode runs no windows" 0 (Cluster.shard_stats c).windows;
   (* ...but cannot be sharded: zero lookahead has no conservative window. *)
   Alcotest.check_raises "shards>1 with zero window refused"
     (Invalid_argument
@@ -348,6 +368,7 @@ let suite =
       test_shards_byte_identical;
     Alcotest.test_case "tiny 10us windows stay identical" `Quick
       test_shards_identical_tiny_window;
+    Alcotest.test_case "shard stats: windows per lookahead" `Quick test_shard_stats;
     Alcotest.test_case "zero window = sync mode, shards=1 only" `Quick
       test_sync_mode_zero_window;
     Alcotest.test_case "idle machines advance with the windows" `Quick

@@ -54,6 +54,66 @@ let test_uniformity_rough () =
         Alcotest.failf "bucket %d wildly off: %d" i c)
     buckets
 
+(* The first outputs of [int], [float], [bool] and [split] for several
+   seeds, recorded from the boxed-[int64] generator this one replaced: the
+   representation of the state may change, the stream may not. *)
+let golden =
+  [
+    (0, "int 649787358 618087613 14556641 853315927; float 0x1.c4415072f63b9p-1 0x1.b9e279aa86e58p-2 0x1.b1174620025p-6; bool 101010101010; split 477819 359138 385996");
+    (1, "int 808126293 624635970 565617645 893811442; float 0x1.7fdf0061bb85ap-1 0x1.7d54b3920bcaap-2 0x1.c0cd7f0f6bcf6p-2; bool 011010001001; split 455995 566540 897101");
+    (2, "int 665493300 749961928 432145220 577073125; float 0x1.0450a0a6ba784p-2 0x1.ca1928d664acbp-1 0x1.7edc8ddd8b67p-2; bool 010000001010; split 330384 18109 730455");
+    (12345, "int 320277283 238395699 639540736 141804761; float 0x1.fedbf15e5b45cp-2 0x1.d52057b771d18p-2 0x1.139f90e09efc5p-1; bool 000110010110; split 668067 883985 866716");
+    (-1, "int 102898780 4645695 673712450 725310435; float 0x1.4aeef0578a553p-1 0x1.690a488701cb2p-1 0x1.45da61761b3fcp-2; bool 001101111010; split 509769 990850 742881");
+    (max_int, "int 579787364 431986676 494270319 560514521; float 0x1.6f1670196122cp-3 0x1.5ed32218226f3p-1 0x1.842985c0c4dfep-1; bool 101101110110; split 263439 351060 67953");
+  ]
+
+let first_outputs seed =
+  let r = Rng.create ~seed in
+  let ints = List.init 4 (fun _ -> string_of_int (Rng.int r 1_000_000_007)) in
+  let r = Rng.create ~seed in
+  let floats = List.init 3 (fun _ -> Printf.sprintf "%h" (Rng.float r 1.0)) in
+  let r = Rng.create ~seed in
+  let bools = String.init 12 (fun _ -> if Rng.bool r then '1' else '0') in
+  let c = Rng.split (Rng.create ~seed) in
+  let split = List.init 3 (fun _ -> string_of_int (Rng.int c 1_000_000)) in
+  Printf.sprintf "int %s; float %s; bool %s; split %s" (String.concat " " ints)
+    (String.concat " " floats) bools (String.concat " " split)
+
+let test_golden_stream () =
+  List.iter
+    (fun (seed, want) ->
+      Alcotest.(check string) (Printf.sprintf "seed %d" seed) want (first_outputs seed))
+    golden;
+  (* A longer interleaved stream, folded into one checksum (same origin). *)
+  let r = Rng.create ~seed:7 in
+  let acc = ref 0L in
+  for _ = 1 to 100_000 do
+    let b = Rng.bits64 r in
+    let i = Rng.int r 97 in
+    let f = Rng.float r 2.0 in
+    acc := Int64.(add (mul !acc 31L) (add b (add (of_int i) (bits_of_float f))))
+  done;
+  Alcotest.(check int64) "10^5 interleaved draws" (-6419533127607456724L) !acc
+
+let test_draws_allocate_nothing () =
+  let r = Rng.create ~seed:11 in
+  let words draw n =
+    (* Warm the float boxes [Gc.minor_words] itself returns. *)
+    ignore (Gc.minor_words ());
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      draw ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let int () = ignore (Sys.opaque_identity (Rng.int r 1000)) in
+  let bool () = ignore (Sys.opaque_identity (Rng.bool r)) in
+  let empty = words int 0 in
+  Alcotest.(check (float 0.)) "minor words over 10^5 Rng.int draws" 0.
+    (words int 100_000 -. empty);
+  Alcotest.(check (float 0.)) "minor words over 10^5 Rng.bool draws" 0.
+    (words bool 100_000 -. empty)
+
 let mean_of samples = Array.fold_left ( +. ) 0. samples /. float_of_int (Array.length samples)
 
 let sample_n dist rng n = Array.init n (fun _ -> Dist.sample dist rng)
@@ -220,6 +280,8 @@ let suite =
     Alcotest.test_case "rng int bounds" `Quick test_int_bounds;
     Alcotest.test_case "rng int invalid" `Quick test_int_invalid;
     Alcotest.test_case "rng float bounds" `Quick test_float_bounds;
+    Alcotest.test_case "rng golden stream" `Quick test_golden_stream;
+    Alcotest.test_case "rng int and bool allocate nothing" `Quick test_draws_allocate_nothing;
     Alcotest.test_case "rng rough uniformity" `Slow test_uniformity_rough;
     Alcotest.test_case "dist constant" `Quick test_constant;
     Alcotest.test_case "dist uniform" `Quick test_uniform;

@@ -182,6 +182,119 @@ let test_prepare_runs_everywhere () =
     ~exchange:(fun _ -> ());
   Alcotest.(check int) "prepare ran once per domain" 4 (Atomic.get count)
 
+(* Windows of a fixed-length toy run: horizons 1, 2, ..., [n]. *)
+let counter_next n =
+  let cursor = ref 0 in
+  fun () ->
+    if !cursor >= n then None
+    else begin
+      incr cursor;
+      Some !cursor
+    end
+
+let test_stats_count_windows () =
+  List.iter
+    (fun domains ->
+      let exec = Shard.create ~shards:4 ~domains () in
+      let returned = ref 0 in
+      let next = counter_next 250 in
+      let next () =
+        let r = next () in
+        if r <> None then incr returned;
+        r
+      in
+      Shard.run_windows exec ~next ~work:(fun _ _ -> ()) ~exchange:(fun _ -> ());
+      Shard.run_windows exec ~next:(counter_next 50) ~work:(fun _ _ -> ()) ~exchange:(fun _ -> ());
+      let st = Shard.stats exec in
+      let name = Printf.sprintf "domains=%d" domains in
+      Alcotest.(check int) (name ^ ": windows = horizons returned") (!returned + 50) st.windows;
+      Alcotest.(check bool) (name ^ ": parks <= waits") true (st.parks <= st.waits);
+      if domains = 1 then
+        Alcotest.(check (pair int int)) "no barrier with one domain" (0, 0) (st.waits, st.parks))
+    [ 1; 2; 4 ]
+
+let test_oversubscribed_never_spins () =
+  let domains = Domain.recommended_domain_count () + 1 in
+  if domains > 16 then Alcotest.skip ()
+  else begin
+    let exec = Shard.create ~shards:domains ~domains () in
+    Shard.run_windows exec ~next:(counter_next 500)
+      ~work:(fun _ _ -> ())
+      ~exchange:(fun _ -> ());
+    let st = Shard.stats exec in
+    Alcotest.(check bool) "the barrier was waited on" true (st.waits > 0);
+    Alcotest.(check int) "every wait parked at once" st.waits st.parks
+  end
+
+(* Every lane writes its shards' plain (non-atomic) state during a window,
+   and the exchange checks that it sees all of it; the exchange in turn
+   writes a token per shard that the next window's [work] checks.  Both
+   directions of the barrier's happens-before edges are exercised, 10^4
+   times.  [fail_at] makes shard 1 (a worker lane whenever domains > 1)
+   raise at that window.  Returns the exchange's log. *)
+let stress_run ?fail_at exec ~windows =
+  let shards = Shard.shards exec in
+  let cells = 32 in
+  let state = Array.init shards (fun _ -> Array.make cells 0) in
+  let token = Array.make shards 0 in
+  let stale = Array.make shards 0 in
+  let log = Buffer.create (windows * 8) in
+  let work s h =
+    if fail_at = Some h && s = 1 then failwith (Printf.sprintf "shard 1 failed at %d" h);
+    if token.(s) <> h - 1 then stale.(s) <- stale.(s) + 1;
+    let a = state.(s) in
+    for k = 0 to cells - 1 do
+      a.(k) <- (h * 131) + (s * 7) + k
+    done
+  in
+  let exchange h =
+    let sum = ref 0 in
+    for s = 0 to shards - 1 do
+      let a = state.(s) in
+      for k = 0 to cells - 1 do
+        if a.(k) <> (h * 131) + (s * 7) + k then
+          Alcotest.failf "window %d: exchange missed shard %d's write to cell %d" h s k;
+        sum := !sum + a.(k)
+      done;
+      token.(s) <- h
+    done;
+    Buffer.add_string log (string_of_int (!sum land 0xffff));
+    Buffer.add_char log ';'
+  in
+  Shard.run_windows exec ~next:(counter_next windows) ~work ~exchange;
+  Array.iteri
+    (fun s n -> if n > 0 then Alcotest.failf "shard %d missed %d exchange tokens" s n)
+    stale;
+  Buffer.contents log
+
+let test_stress_visibility () =
+  let windows = 10_000 in
+  let reference = stress_run (Shard.create ~shards:4 ~domains:1 ()) ~windows in
+  List.iter
+    (fun domains ->
+      let exec = Shard.create ~shards:4 ~domains () in
+      Alcotest.(check string)
+        (Printf.sprintf "domains=%d log = domains=1 log" domains)
+        reference (stress_run exec ~windows);
+      Alcotest.(check int) "windows counted" windows (Shard.stats exec).windows)
+    [ 2; 4 ]
+
+let test_late_worker_failure () =
+  List.iter
+    (fun domains ->
+      let exec = Shard.create ~shards:4 ~domains () in
+      Alcotest.check_raises
+        (Printf.sprintf "domains=%d: failure at window 9000 re-raised" domains)
+        (Failure "shard 1 failed at 9000")
+        (fun () -> ignore (stress_run ~fail_at:9000 exec ~windows:10_000));
+      Alcotest.(check int) "stopped at the failing window" 9000 (Shard.stats exec).windows;
+      (* The workers were joined: the same executor runs again. *)
+      let again = stress_run exec ~windows:1_000 in
+      Alcotest.(check string) "executor works afterwards"
+        (stress_run (Shard.create ~shards:4 ~domains:1 ()) ~windows:1_000)
+        again)
+    [ 2; 4 ]
+
 let suite =
   [
     Alcotest.test_case "intbox: growth, reuse, bounds" `Quick test_intbox_growth;
@@ -195,4 +308,10 @@ let suite =
     Alcotest.test_case "worker exception propagates to caller" `Quick
       test_worker_exception_propagates;
     Alcotest.test_case "prepare runs on every domain" `Quick test_prepare_runs_everywhere;
+    Alcotest.test_case "stats: windows = horizons returned" `Quick test_stats_count_windows;
+    Alcotest.test_case "stats: oversubscribed waits all park" `Quick
+      test_oversubscribed_never_spins;
+    Alcotest.test_case "stress: 10^4 windows, writes visible both ways" `Quick
+      test_stress_visibility;
+    Alcotest.test_case "stress: worker failure at window 9000" `Quick test_late_worker_failure;
   ]
