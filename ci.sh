@@ -2,7 +2,8 @@
 # CI gate: build everything, run the test suites (and the shard and
 # cluster suites again pinned to one CPU), smoke-run perfbench's
 # three workloads, check the fast-path benchmarks against the committed
-# baseline (BENCH_PR10.json), and verify
+# baseline (BENCH_PR10.json), check every paper figure against the
+# committed results/rc_sim_all.txt, and verify
 # the sharded-execution determinism contract (shards=N byte-identical to
 # shards=1).  Referenced from README.md "Install and build".
 set -eu
@@ -28,14 +29,29 @@ for w in rc-perconn zipf-flash cluster-shards; do
   fi
 done
 
-echo "== bench smoke (tiny quotas, both Sim backends; executes the harness, gates nothing)"
+echo "== bench smoke (tiny quotas; executes the harness, gates nothing)"
 dune exec bench/main.exe -- --json --smoke --label ci-smoke > /dev/null
 
 echo "== dune build @bench-check"
 dune build @bench-check
 
-echo "== event-core A/B + PR1-to-now trend (informational, never fails)"
+echo "== PR1-to-now benchmark trend (informational, never fails)"
 dune exec bench/compare.exe -- BENCH_PR1.json BENCH_PR10.json --threshold 1000 || true
+
+# Table 1's "this library (ns/op)" column is wall clock, so it is the one
+# thing masked: the last number of each row in the Table 1 block.
+mask_table1() {
+  awk '/^== Table 1/ { t = 1 }
+       t && /^$/ { t = 0 }
+       t && /[0-9]$/ { sub(/ +[0-9]+$/, " N") }
+       { print }' "$1"
+}
+
+echo "== figure contract (rc_sim all = results/rc_sim_all.txt, Table 1 ns/op column masked)"
+dune exec bin/rc_sim.exe -- all > "${TMPDIR:-/tmp}/rc-all.txt"
+mask_table1 results/rc_sim_all.txt > "${TMPDIR:-/tmp}/rc-all-expected.txt"
+mask_table1 "${TMPDIR:-/tmp}/rc-all.txt" > "${TMPDIR:-/tmp}/rc-all-actual.txt"
+diff "${TMPDIR:-/tmp}/rc-all-expected.txt" "${TMPDIR:-/tmp}/rc-all-actual.txt"
 
 echo "== sweep smoke (2 jobs must match the serial report byte-for-byte)"
 dune exec bin/rc_sim.exe -- sweep --fast --jobs 1 --json-out "${TMPDIR:-/tmp}/rc-sweep-j1.json"

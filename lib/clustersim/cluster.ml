@@ -25,10 +25,8 @@
    shards=1 run uses the same mailboxes, the same barriers and the same
    drain orders), shards=N is byte-identical to shards=1 by construction:
    nothing observable depends on the shard count, the domain count, the
-   wall clock or domain identity.  [~window:Simtime.span_zero] opts out
-   into the synchronous pre-sharding semantics (direct injection, live
-   least-conns counts) and is only legal at shards=1 — zero lookahead
-   cannot be made conservative.
+   wall clock or domain identity.  The window must be positive: zero
+   lookahead cannot be made conservative.
 
    Tenants are the paper's resource principals stretched across machines:
    each tenant owns one container per machine (filter-matched listens bind
@@ -111,7 +109,7 @@ type tenant = {
 type t = {
   shard_sims : Sim.t array; (* machine i runs in shard i mod shards *)
   exec : Shard.t;
-  window_ns : int; (* dispatch latency = window length; 0 = synchronous *)
+  window_ns : int; (* dispatch latency = window length, > 0 *)
   policy : policy;
   profile : profile;
   nodes : node array;
@@ -159,8 +157,6 @@ type t = {
   mutable strict : bool; (* arm_invariants was called: workers need the DLS flag *)
   mutable t0_ns : int; (* profile epoch: simulation time at [start] *)
 }
-
-let sync t = t.window_ns = 0
 
 (* Enough virtual nodes that arc-share imbalance is a few percent: with V
    vnodes per machine the share standard deviation is ~1/sqrt(V). *)
@@ -311,9 +307,7 @@ let rec worker_body t node =
 
 (* ---------------- completions (balancer side) ---------------- *)
 
-(* Applied on the balancer's domain only: at the barrier merge (windowed)
-   or directly from the response event (synchronous mode, where there is
-   only one domain and one sim). *)
+(* Applied on the balancer's domain only, at the barrier merge. *)
 let apply_completion t ~time_ns ~seq =
   let i = seq land t.mask in
   if t.issue_seq.(i) = seq then
@@ -328,10 +322,10 @@ let apply_completion t ~time_ns ~seq =
 (* ---------------- the client population / balancer ---------------- *)
 
 (* The handlers run inside the node's own event core: they read only the
-   node, immutable cluster parameters and [sync]-gated state, and write
-   only the node's counters and mailboxes.  All times are the node
-   machine's clock (identical to the balancer clock at shards=1; the only
-   clock the node's domain may read at shards>1). *)
+   node and immutable cluster parameters, and write only the node's
+   counters and mailboxes.  All times are the node machine's clock
+   (identical to the balancer clock at shards=1; the only clock the
+   node's domain may read at shards>1). *)
 let make_handlers t node =
   let msim = Machine.sim node.machine in
   {
@@ -345,8 +339,7 @@ let make_handlers t node =
       (fun conn _payload ->
         let seq = conn.Socket.src_port in
         let time_ns = Simtime.to_ns (Machine.now node.machine) in
-        if sync t then apply_completion t ~time_ns ~seq
-        else Shard.Intbox.push2 node.complete_box time_ns seq;
+        Shard.Intbox.push2 node.complete_box time_ns seq;
         if Simtime.span_to_ns t.hold = 0 then Stack.client_close node.stack conn
         else
           Sim.post msim t.hold (fun () ->
@@ -371,23 +364,13 @@ let pick_node t ~src ~src_port =
       i
   | Least_conns ->
       let best = ref 0 and bestc = ref max_int in
-      if sync t then
-        Array.iter
-          (fun n ->
-            let c = Stack.tracked_conns n.stack in
-            if c < !bestc then begin
-              bestc := c;
-              best := n.index
-            end)
-          t.nodes
-      else
-        Array.iteri
-          (fun i c ->
-            if c < !bestc then begin
-              bestc := c;
-              best := i
-            end)
-          t.conns_snapshot;
+      Array.iteri
+        (fun i c ->
+          if c < !bestc then begin
+            bestc := c;
+            best := i
+          end)
+        t.conns_snapshot;
       !best
   | Flow_hash -> ring_lookup t (Stack.flow_hash src src_port)
   | Replicate _ -> assert false
@@ -413,11 +396,7 @@ let inject_one t =
   t.done_seq.(i) <- min_int;
   t.issued <- t.issued + 1;
   let deliver_ns = Simtime.to_ns (now t) + t.window_ns in
-  let send node =
-    if sync t then
-      Stack.inject_connect node.stack ~src ~src_port ~port:t.port ~handlers:node.handlers
-    else Shard.Intbox.push3 node.dispatch_box deliver_ns seq tenant_ix
-  in
+  let send node = Shard.Intbox.push3 node.dispatch_box deliver_ns seq tenant_ix in
   match t.policy with
   | Replicate d ->
       let d = max 1 (min d (machines t)) in
@@ -519,7 +498,7 @@ let barrier_exchange t wend_ns =
 
 (* ---------------- construction ---------------- *)
 
-let create ?backend ?(machines = 4) ?(shards = 1) ?domains ?(cpus = 1) ?(mode = Stack.Rc)
+let create ?(machines = 4) ?(shards = 1) ?domains ?(cpus = 1) ?(mode = Stack.Rc)
     ?(policy = Round_robin) ?(profile = Poisson 1000.) ?service ?(request_bytes = 256)
     ?(response_bytes = 4096) ?(hold = Simtime.span_zero) ?(workers = 32)
     ?(quantum = Simtime.us 50) ?(rollup_period = Simtime.ms 10) ?(ring_bits = 20)
@@ -536,7 +515,7 @@ let create ?backend ?(machines = 4) ?(shards = 1) ?domains ?(cpus = 1) ?(mode = 
   let service =
     match service with Some d -> d | None -> Dist.exponential ~mean:400_000. (* 400 µs *)
   in
-  let shard_sims = Array.init shards (fun _ -> Sim.create ?backend ()) in
+  let shard_sims = Array.init shards (fun _ -> Sim.create ()) in
   let exec = Shard.create ?domains ~shards () in
   let rng = Rng.create ~seed in
   let arrival_rng = Rng.split rng in
@@ -600,20 +579,15 @@ let create ?backend ?(machines = 4) ?(shards = 1) ?domains ?(cpus = 1) ?(mode = 
      Default: the SYN's wire time on the access link — the minimum
      balancer->machine delivery delay, i.e. the largest window that is
      still conservative under the default latency.  An explicit [window]
-     trades dispatch latency for barrier amortisation; zero degenerates
-     to the synchronous single-sim semantics and needs shards=1. *)
+     trades dispatch latency for barrier amortisation. *)
   let window_ns =
     match window with
-    | Some w ->
-        let ns = Simtime.span_to_ns w in
-        if ns < 0 then invalid_arg "Cluster.create: window must be >= 0";
-        ns
+    | Some w -> Simtime.span_to_ns w
     | None -> Simtime.span_to_ns (Stack.syn_delivery_delay nodes.(0).stack)
   in
-  if window_ns = 0 && shards > 1 then
+  if window_ns <= 0 then
     invalid_arg
-      "Cluster.create: a zero window (no lookahead) degenerates to the synchronous \
-       protocol and requires shards = 1";
+      "Cluster.create: window must be positive (zero lookahead has no conservative window)";
   let rollup = Rollup.create () in
   let cluster_laws = Engine.Invariant.create () in
   Rollup.register rollup cluster_laws;
@@ -737,15 +711,7 @@ let start t =
     end
   in
   Sim.post t.shard_sims.(0) (Simtime.ns 1) tick;
-  if sync t then
-    let (_ : Sim.event) =
-      Sim.every t.shard_sims.(0) t.rollup_period (fun () ->
-          Rollup.aggregate t.rollup;
-          let c = concurrent t in
-          if c > t.peak_concurrent then t.peak_concurrent <- c)
-    in
-    ()
-  else t.next_rollup_ns <- t.t0_ns + Simtime.span_to_ns t.rollup_period
+  t.next_rollup_ns <- t.t0_ns + Simtime.span_to_ns t.rollup_period
 
 let stop_arrivals t = t.arrivals_on <- false
 
@@ -753,28 +719,25 @@ let run_for t span =
   let start_ns = Simtime.to_ns (now t) in
   let horizon_ns = start_ns + Simtime.span_to_ns span in
   let horizon = Simtime.of_ns horizon_ns in
-  if not (sync t) then begin
-    let cursor = ref start_ns in
-    let next () =
-      if !cursor >= horizon_ns then None
-      else begin
-        let wend = min horizon_ns (!cursor + t.window_ns) in
-        cursor := wend;
-        Some wend
-      end
-    in
-    (* Windows advance each shard's sim directly; the machines' armed
-       quiesce re-checks happen once at the horizon below, not at every
-       window (the periodic [Sim.every] sweeps still run inside windows
-       at their own cadence). *)
-    let work s h = Sim.run_until t.shard_sims.(s) (Simtime.of_ns h) in
-    let prepare () = Rescont.Usage.set_strict_memory t.strict in
-    Shard.run_windows ~prepare t.exec ~next ~work
-      ~exchange:(fun h -> barrier_exchange t h)
-  end;
+  let cursor = ref start_ns in
+  let next () =
+    if !cursor >= horizon_ns then None
+    else begin
+      let wend = min horizon_ns (!cursor + t.window_ns) in
+      cursor := wend;
+      Some wend
+    end
+  in
+  (* Windows advance each shard's sim directly; the machines' armed
+     quiesce re-checks happen once at the horizon below, not at every
+     window (the periodic [Sim.every] sweeps still run inside windows
+     at their own cadence). *)
+  let work s h = Sim.run_until t.shard_sims.(s) (Simtime.of_ns h) in
+  let prepare () = Rescont.Usage.set_strict_memory t.strict in
+  Shard.run_windows ~prepare t.exec ~next ~work ~exchange:(fun h -> barrier_exchange t h);
   (* Horizon quiesce: every machine's run_until is now a no-op clock
-     advance (synchronous mode: the actual run) plus its registry's
-     quiesce check; then the cluster-level laws get the final word. *)
+     advance plus its registry's quiesce check; then the cluster-level
+     laws get the final word. *)
   Array.iter (fun n -> Machine.run_until n.machine horizon) t.nodes;
   check_cluster_laws t
 

@@ -12,9 +12,7 @@
     canonical order, and therefore the run is a pure function of the seed
     — [shards = N] is byte-identical to [shards = 1], whatever the domain
     count, because the windowed mailbox protocol is the only execution
-    path.  [~window:Engine.Simtime.span_zero] opts out into the
-    pre-sharding synchronous semantics (direct injection, live least-conns
-    counts) and is only legal at [shards = 1].
+    path.
 
     An open-loop arrival process (Poisson or a step/spike profile) plays
     the client population: each logical request opens a connection to a
@@ -35,10 +33,9 @@
 type policy =
   | Round_robin
   | Least_conns
-      (** fewest tracked connections; ties to the lowest index.  Under the
-          windowed protocol the counts are the previous barrier's snapshot
-          (stale by at most one window) — live counts would depend on the
-          shard count; synchronous mode reads live counts. *)
+      (** fewest tracked connections; ties to the lowest index.  The
+          counts are the previous barrier's snapshot (stale by at most one
+          window) — live counts would depend on the shard count. *)
   | Flow_hash
       (** consistent hashing on {!Netsim.Stack.flow_hash} — per-arrival
           Bernoulli thinning of the Poisson stream, so each machine sees a
@@ -64,7 +61,6 @@ val tenant_spec : ?weight:int -> ?attrs:Rescont.Attrs.t -> string -> tenant_spec
 type t
 
 val create :
-  ?backend:Engine.Sim.backend ->
   ?machines:int ->
   ?shards:int ->
   ?domains:int ->
@@ -100,13 +96,13 @@ val create :
     latency (default 150 µs); [window] overrides the dispatch window
     (default: a SYN's wire time, {!Netsim.Stack.syn_delivery_delay} — the
     largest conservative lookahead).  A larger window amortises barriers
-    at the price of added dispatch latency; a zero window selects the
-    synchronous single-core semantics and requires [shards = 1].
+    at the price of added dispatch latency; it must be positive at every
+    shard count (zero lookahead has no conservative window).
 
     The server on each machine is a worker pool over an edge-triggered
     ready queue ({!Netsim.Stack.set_on_readable}): O(1) per wakeup however
     many connections are open.
-    @raise Invalid_argument on [shards > 1] with a zero window. *)
+    @raise Invalid_argument on a window that is not positive. *)
 
 val start : t -> unit
 (** Spawn the worker pools and begin the arrival process.  Call once;
@@ -151,11 +147,10 @@ val shard_stats : t -> Engine.Shard.stats
 (** The shard executor's barrier counters ({!Engine.Shard.stats}): windows
     run, barrier waits and parks, summed over every {!run_for}.  Host-side
     self-measurement only; they enter no JSON artifact, fingerprint or
-    simulated metric.  In synchronous mode no window runs, so all are 0. *)
+    simulated metric. *)
 
 val lookahead : t -> Engine.Simtime.span
-(** The dispatch window / conservative lookahead in force; zero means
-    synchronous mode. *)
+(** The dispatch window / conservative lookahead in force (positive). *)
 
 val node_machine : t -> int -> Procsim.Machine.t
 val node_stack : t -> int -> Netsim.Stack.t

@@ -34,8 +34,6 @@ val pp_figure_chart : Format.formatter -> figure -> unit
     approximation of the paper's plots. *)
 
 val figure_to_csv : figure -> string
-val figure_curves : figure -> curve list
-val figure_title : figure -> string
 
 type table
 

@@ -1,45 +1,24 @@
-(* The event queue is pluggable: the hierarchical timer wheel is the
-   production backing store (O(1) schedule/cancel for the dominant
-   [after]/[every] pattern), the binary heap is kept as the property-
-   tested executable specification and for A/B benchmarking.  Both
-   extract in (timestamp, insertion-order) order, so a run's event
-   sequence is identical under either backend — test_timer_wheel checks
-   exactly that.
+(* The event queue is a hierarchical timer wheel ([Timer_wheel]): O(1)
+   schedule and cancel for the dominant [after]/[every] pattern.  It
+   extracts in (timestamp, insertion-order) order, so runs are
+   deterministic; test_timer_wheel holds it in lockstep with a binary-heap
+   specification kept in the test suite.
 
    An event is represented as thinly as possible: a one-shot event IS its
-   queue handle behind a one-word constructor (both backends tolerate a
-   cancel after extraction and report it as [false]), so [at]/[after] add
-   two words over the queue node itself.  Only [every] — one record per
-   periodic SERIES, not per tick — needs the extra indirection of a
-   mutable cell, because the heap backend re-inserts under a fresh handle
-   each period. *)
+   wheel handle behind a one-word constructor (the wheel refuses a cancel
+   after extraction and reports it as [false]), so [at]/[after] add two
+   words over the queue node itself.  Only [every] — one record per
+   periodic SERIES, not per tick — needs a mutable cell, so a cancel from
+   inside the series' own callback can stop the re-arm. *)
 
-type backend = Heap | Wheel
+type t = { mutable clock : Simtime.t; wheel : (unit -> unit) Timer_wheel.t }
+type series = {
+  mutable cancelled : bool;
+  mutable handle : (unit -> unit) Timer_wheel.handle option;
+}
+type event = Oneshot of (unit -> unit) Timer_wheel.handle | Series of series
 
-let backend_name = function Heap -> "heap" | Wheel -> "wheel"
-
-type queue = Q_heap of (unit -> unit) Heapq.t | Q_wheel of (unit -> unit) Timer_wheel.t
-
-type t = { mutable clock : Simtime.t; queue : queue }
-
-type shandle = S_heap of Heapq.handle | S_wheel of (unit -> unit) Timer_wheel.handle
-
-type series = { mutable cancelled : bool; mutable shandle : shandle option }
-
-type event =
-  | Ev_heap of Heapq.handle
-  | Ev_wheel of (unit -> unit) Timer_wheel.handle
-  | Ev_series of series
-
-let default_backend = Wheel
-
-let create ?(backend = default_backend) () =
-  let queue =
-    match backend with Heap -> Q_heap (Heapq.create ()) | Wheel -> Q_wheel (Timer_wheel.create ())
-  in
-  { clock = Simtime.zero; queue }
-
-let backend t = match t.queue with Q_heap _ -> Heap | Q_wheel _ -> Wheel
+let create () = { clock = Simtime.zero; wheel = Timer_wheel.create () }
 let now t = t.clock
 
 let check_time t time =
@@ -51,13 +30,10 @@ let check_time t time =
    arena slot recycles as soon as it fires or is cancelled, and a cancel
    arriving after the firing is refused by the generation stamp — so the
    cancellable [at]/[after] traffic (scheduler slice-end events, TCP-ish
-   timeouts) is allocation- and leak-free in steady state, not just the
-   fire-and-forget [post] lane. *)
+   timeouts) is leak-free and allocates only its two-word handle. *)
 let at t time f =
   check_time t time;
-  match t.queue with
-  | Q_heap q -> Ev_heap (Heapq.insert q ~prio:(Simtime.to_ns time) f)
-  | Q_wheel w -> Ev_wheel (Timer_wheel.insert_oneshot w ~prio:(Simtime.to_ns time) f)
+  Oneshot (Timer_wheel.insert_oneshot t.wheel ~prio:(Simtime.to_ns time) f)
 
 let after t span f =
   let span = Simtime.span_max span Simtime.span_zero in
@@ -66,118 +42,76 @@ let after t span f =
 (* Fire-and-forget scheduling: most events in a run — scheduler kicks,
    packet deliveries, think-time wakeups — are never cancelled, so
    returning a cancellable handle for them is pure overhead.  [post] lets
-   the wheel backend recycle the queue node through its free list, making
-   these events allocation-free in steady state. *)
+   the wheel recycle the queue node through its free list, making these
+   events allocation-free in steady state. *)
 let post_at t time f =
   check_time t time;
-  match t.queue with
-  | Q_heap q -> ignore (Heapq.insert q ~prio:(Simtime.to_ns time) f)
-  | Q_wheel w -> Timer_wheel.insert_pooled w ~prio:(Simtime.to_ns time) f
+  Timer_wheel.insert_pooled t.wheel ~prio:(Simtime.to_ns time) f
 
 let post t span f =
   let span = Simtime.span_max span Simtime.span_zero in
   post_at t (Simtime.add t.clock span) f
 
-let cancel_shandle t h =
-  match (h, t.queue) with
-  | S_heap h, Q_heap q -> Heapq.cancel q h
-  | S_wheel h, Q_wheel w -> Timer_wheel.cancel w h
-  | _, _ -> invalid_arg "Sim.cancel: event belongs to a different backend"
-
-let cancel t event =
-  match event with
-  | Ev_heap h -> (
-      match t.queue with
-      | Q_heap q -> Heapq.cancel q h
-      | Q_wheel _ -> invalid_arg "Sim.cancel: event belongs to a different backend")
-  | Ev_wheel h -> (
-      match t.queue with
-      | Q_wheel w -> Timer_wheel.cancel w h
-      | Q_heap _ -> invalid_arg "Sim.cancel: event belongs to a different backend")
-  | Ev_series s ->
+let cancel t = function
+  | Oneshot h -> Timer_wheel.cancel t.wheel h
+  | Series s ->
       if s.cancelled then false
       else begin
         s.cancelled <- true;
-        match s.shandle with None -> false | Some h -> cancel_shandle t h
+        match s.handle with None -> false | Some h -> Timer_wheel.cancel t.wheel h
       end
 
-let pending t =
-  match t.queue with Q_heap q -> Heapq.length q | Q_wheel w -> Timer_wheel.length w
-
-let fire t prio f =
-  t.clock <- Simtime.of_ns prio;
-  f ()
-
-let pop_min t =
-  match t.queue with Q_heap q -> Heapq.pop_min q | Q_wheel w -> Timer_wheel.pop_min w
-
-(* Next event at or before [horizon] (in ns), or [None].  The wheel
-   commits its lower bound to the horizon on [None]; that is sound
-   because [run_until] then advances the clock to the horizon, and no
-   event is ever scheduled before the clock. *)
-let pop_min_until t ~horizon =
-  match t.queue with
-  | Q_wheel w -> Timer_wheel.pop_min_until w ~horizon
-  | Q_heap q -> (
-      match Heapq.peek_min_prio q with
-      | Some prio when prio <= horizon -> Heapq.pop_min q
-      | Some _ | None -> None)
+let pending t = Timer_wheel.length t.wheel
 
 let step t =
-  match pop_min t with
+  match Timer_wheel.pop_min t.wheel with
   | None -> false
   | Some (prio, f) ->
-      fire t prio f;
+      t.clock <- Simtime.of_ns prio;
+      f ();
       true
 
+(* The wheel's "nothing due" answer: a closure no caller can schedule. *)
+let nothing_due () = ()
+
+(* A top-level loop with no free variables and [Timer_wheel.pop_until]'s
+   payload-or-sentinel result: firing an event allocates nothing here.
+   The wheel commits its lower bound to the horizon when nothing is due;
+   that is sound because [run_until] then advances the clock to the
+   horizon, and no event is ever scheduled before the clock. *)
+let rec fire_until t horizon_ns =
+  let f = Timer_wheel.pop_until t.wheel ~horizon:horizon_ns ~none:nothing_due in
+  if f != nothing_due then begin
+    t.clock <- Simtime.of_ns (Timer_wheel.lower_bound t.wheel);
+    f ();
+    fire_until t horizon_ns
+  end
+
 let run_until t horizon =
-  let horizon_ns = Simtime.to_ns horizon in
-  let rec loop () =
-    match pop_min_until t ~horizon:horizon_ns with
-    | Some (prio, f) ->
-        fire t prio f;
-        loop ()
-    | None -> ()
-  in
-  loop ();
+  fire_until t (Simtime.to_ns horizon);
   if Simtime.(horizon > t.clock) then t.clock <- horizon
 
 let run t = while step t do () done
 
-(* One closure and one series record serve the whole periodic series.  On
-   the wheel backend the series also owns a single queue node: each tick
-   [Timer_wheel.rearm]s the node it just fired from, so steady-state
-   periodic timers (a scheduler quantum, an invariant sweep) allocate
-   nothing at all per period.  The handle never changes across re-arms,
-   so [cancel] keeps working on whichever incarnation is queued.  A
-   re-arm lands at the same bucket position a fresh insert would, so the
-   heap backend (which re-inserts) fires an identical event sequence. *)
+(* One closure, one series record and one pinned queue node serve the
+   whole periodic series: each tick [Timer_wheel.rearm]s the node it just
+   fired from, so steady-state periodic timers (a scheduler quantum, an
+   invariant sweep) allocate nothing per period.  The handle never
+   changes across re-arms, so [cancel] keeps working on whichever
+   incarnation is queued.  A re-arm lands at the same bucket position a
+   fresh insert would, so the series fires where re-inserting would. *)
 let every t period f =
   if not (Simtime.span_is_positive period) then invalid_arg "Sim.every: period must be positive";
-  let body = { cancelled = false; shandle = None } in
-  (match t.queue with
-  | Q_wheel w ->
-      let tick () =
-        if not body.cancelled then begin
-          f ();
-          if not body.cancelled then
-            match body.shandle with
-            | Some (S_wheel h) ->
-                Timer_wheel.rearm w h ~prio:(Simtime.to_ns (Simtime.add t.clock period))
-            | Some (S_heap _) | None -> assert false
-        end
-      in
-      body.shandle <-
-        Some (S_wheel (Timer_wheel.insert w ~prio:(Simtime.to_ns (Simtime.add t.clock period)) tick))
-  | Q_heap q ->
-      let rec tick () =
-        if not body.cancelled then begin
-          f ();
-          if not body.cancelled then arm ()
-        end
-      and arm () =
-        body.shandle <-
-          Some (S_heap (Heapq.insert q ~prio:(Simtime.to_ns (Simtime.add t.clock period)) tick))
-      in
-      arm ());
-  Ev_series body
+  let body = { cancelled = false; handle = None } in
+  let tick () =
+    if not body.cancelled then begin
+      f ();
+      if not body.cancelled then
+        match body.handle with
+        | Some h -> Timer_wheel.rearm t.wheel h ~prio:(Simtime.to_ns (Simtime.add t.clock period))
+        | None -> assert false
+    end
+  in
+  body.handle <-
+    Some (Timer_wheel.insert t.wheel ~prio:(Simtime.to_ns (Simtime.add t.clock period)) tick);
+  Series body

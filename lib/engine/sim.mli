@@ -10,20 +10,9 @@ type t
 type event
 (** A handle on a scheduled event, usable for cancellation. *)
 
-type backend = Heap | Wheel
-(** The event-queue backing store.  [Wheel] — a hierarchical timer wheel
-    ({!Timer_wheel}) with O(1) schedule and cancel — is the default.
-    [Heap] keeps the binary heap ({!Heapq}) as the property-tested
-    executable specification; both fire identical event sequences, and
-    [bench] measures them against each other. *)
-
-val backend_name : backend -> string
-val default_backend : backend
-
-val create : ?backend:backend -> unit -> t
-
-val backend : t -> backend
-(** Which backing store this simulator was created with. *)
+val create : unit -> t
+(** An empty simulator at time zero.  The event queue is a hierarchical
+    timer wheel ({!Timer_wheel}) with O(1) schedule and cancel. *)
 
 val now : t -> Simtime.t
 (** Current simulated time.  Advances only inside [run_until] / [run]. *)
@@ -39,9 +28,8 @@ val after : t -> Simtime.span -> (unit -> unit) -> event
 
 val post_at : t -> Simtime.t -> (unit -> unit) -> unit
 (** [at] without the handle: the event cannot be cancelled, and in
-    exchange the wheel backend recycles its queue node when the event
-    fires, so fire-and-forget scheduling allocates nothing in steady
-    state.  Fires in exactly the position an [at] at the same instant
+    exchange the wheel recycles its queue node when the event fires, so
+    fire-and-forget scheduling allocates nothing in steady state.  Fires in exactly the position an [at] at the same instant
     would.
     @raise Invalid_argument if [time] is in the past. *)
 
@@ -59,7 +47,8 @@ val run_until : t -> Simtime.t -> unit
 (** Fire events in timestamp order until the queue is empty or the next
     event lies strictly beyond the horizon; the clock finishes at the
     horizon (or at the last fired event if the queue drains early, never
-    moving backwards). *)
+    moving backwards).  Firing an event allocates nothing here (what
+    the event's own closure allocates aside). *)
 
 val run : t -> unit
 (** Fire events until the queue is empty. *)
@@ -70,6 +59,6 @@ val step : t -> bool
 val every : t -> Simtime.span -> (unit -> unit) -> event
 (** [every sim period f] schedules [f] periodically, starting one period
     from now.  The returned handle cancels the whole series.  The series
-    reuses a single closure and event body across ticks; each period
-    costs only one queue insertion.
+    reuses a single closure, event body and queue node across ticks, so a
+    period allocates nothing.
     @raise Invalid_argument if [period] is not positive. *)

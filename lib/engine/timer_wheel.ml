@@ -343,11 +343,13 @@ let take_payload t i =
 
 (* Extract the minimum-priority node with priority <= horizon, advancing
    [cur] no further than [min next-priority horizon]; [commit] decides
-   whether an empty wheel pins [cur] to the horizon. *)
-let rec extract t ~horizon ~commit =
+   whether an empty wheel pins [cur] to the horizon.  Returns the payload
+   (its priority is then [t.cur]) or [none] when nothing is due, so a pop
+   allocates nothing. *)
+let rec extract t ~horizon ~commit ~none =
   if t.live = 0 then begin
     if commit && horizon > t.cur then t.cur <- horizon;
-    None
+    none
   end
   else if t.solo >= 0 then begin
     (* The lone queued node lives outside the buckets, so this branch is
@@ -358,13 +360,13 @@ let rec extract t ~horizon ~commit =
     let prio = t.prio.(i) in
     if prio > horizon then begin
       if horizon > t.cur then t.cur <- horizon;
-      None
+      none
     end
     else begin
       t.live <- 0;
       t.solo <- -1;
       t.cur <- prio;
-      Some (prio, take_payload t i)
+      take_payload t i
     end
   end
   else if t.counts.(0) > 0 then begin
@@ -377,31 +379,31 @@ let rec extract t ~horizon ~commit =
       let prio = t.prio.(i) in
       if prio > horizon then begin
         if horizon > t.cur then t.cur <- horizon;
-        None
+        none
       end
       else begin
         remove t i;
         t.live <- t.live - 1;
         t.cur <- prio;
-        Some (prio, take_payload t i)
+        take_payload t i
       end
     end
   end
-  else scan_levels t ~horizon ~commit 1
+  else scan_levels t ~horizon ~commit ~none 1
 
 (* Levels >= 1: find the next busy bucket beyond cur's digit, cascade it,
    and retry from level 0.  [t.live > 0] guarantees some level is busy. *)
-and scan_levels t ~horizon ~commit lvl =
+and scan_levels t ~horizon ~commit ~none lvl =
   if lvl >= levels then begin
     (* Unreachable while the level counts agree with [live]; fail loudly
        rather than spin if they ever do not. *)
     invalid_arg "Timer_wheel: inconsistent level counts"
   end
-  else if t.counts.(lvl) = 0 then scan_levels t ~horizon ~commit (lvl + 1)
+  else if t.counts.(lvl) = 0 then scan_levels t ~horizon ~commit ~none (lvl + 1)
   else begin
     let shift = bits * lvl in
     let j = first_occupied t lvl ~from:(((t.cur lsr shift) land mask) + 1) in
-    if j = slot_count then scan_levels t ~horizon ~commit (lvl + 1)
+    if j = slot_count then scan_levels t ~horizon ~commit ~none (lvl + 1)
     else begin
       (* Window start of the found bucket: cur's digits above [lvl],
          digit [lvl] = j, zeros below.  At the top level there are no
@@ -417,7 +419,7 @@ and scan_levels t ~horizon ~commit lvl =
       let bucket_start = above lor (j lsl shift) in
       if bucket_start > horizon then begin
         if horizon > t.cur then t.cur <- horizon;
-        None
+        none
       end
       else begin
         let sentinel = (lvl lsl bits) lor j in
@@ -439,19 +441,27 @@ and scan_levels t ~horizon ~commit lvl =
           occ_clear t lvl j;
           t.live <- t.live - 1;
           t.cur <- prio;
-          Some (prio, take_payload t i)
+          take_payload t i
         end
         else begin
           t.cur <- bucket_start;
           cascade t sentinel lvl j;
-          extract t ~horizon ~commit
+          extract t ~horizon ~commit ~none
         end
       end
     end
   end
 
-let pop_min t = extract t ~horizon:max_int ~commit:false
-let pop_min_until t ~horizon = extract t ~horizon ~commit:true
+let pop_until t ~horizon ~none = extract t ~horizon ~commit:true ~none
+
+(* The option-returning pops are for tests and one-off callers: they
+   allocate the result, [pop_until] does not.  [absent] is a private
+   block, so no payload can be physically equal to it. *)
+let absent : Obj.t = Obj.repr (ref 0)
+
+let boxed t v = if v == Obj.magic absent then None else Some (t.cur, v)
+let pop_min t = boxed t (extract t ~horizon:max_int ~commit:false ~none:(Obj.magic absent))
+let pop_min_until t ~horizon = boxed t (pop_until t ~horizon ~none:(Obj.magic absent))
 
 let clear t =
   (* Unqueue every allocated node; non-pinned slots recycle, pinned ones

@@ -1,19 +1,19 @@
 (** A hierarchical timer wheel (Varghese & Lauck) keyed by integer
     nanosecond priorities, with O(1) insert and O(1) eager cancellation.
 
-    The wheel is an alternative backing store for {!Sim}'s event queue,
-    tuned for the simulator's dominant insert pattern — [Sim.after] /
-    [Sim.every] timers landing a bounded distance past the clock.  It is
-    behaviourally equivalent to {!Heapq} under the event-queue discipline
-    (priorities never below the last extraction) and that equivalence is
-    QCheck-tested: both structures yield the same extraction order,
-    including insertion-order FIFO among equal priorities, under random
+    The wheel is {!Sim}'s event queue, tuned for the simulator's dominant
+    insert pattern — [Sim.after] / [Sim.every] timers landing a bounded
+    distance past the clock.  A binary heap kept in the test suite is its
+    executable specification: under the event-queue discipline
+    (priorities never below the last extraction) a QCheck property
+    demands the same extraction order from both, including
+    insertion-order FIFO among equal priorities, under random
     insert/cancel/pop schedules.
 
-    Unlike {!Heapq}, the wheel maintains a monotone {e lower bound}
+    Unlike a heap, the wheel maintains a monotone {e lower bound}
     [lower_bound t]: inserting below it is an error.  {!Sim} guarantees
     this by construction (events are never scheduled in the past), which
-    is exactly what lets every operation skip the heap's O(log n)
+    is exactly what lets every operation skip a heap's O(log n)
     sifting.  Equal priorities extract in insertion order: equal-priority
     nodes always share a bucket, buckets are appended to, and cascades
     preserve list order. *)
@@ -81,6 +81,14 @@ val cancel : 'a t -> 'a handle -> bool
 val pop_min : 'a t -> (int * 'a) option
 (** Extract the minimum-priority element.  Advances [lower_bound] to the
     extracted priority; leaves it unchanged when empty. *)
+
+val pop_until : 'a t -> horizon:int -> none:'a -> 'a
+(** [pop_until t ~horizon ~none] is {!pop_min_until} without the option
+    and the pair, so it allocates nothing: it returns the extracted
+    payload, whose priority is then [lower_bound t], or [none] itself
+    (compared physically: pass a value no payload can be) when nothing is
+    due, committing [lower_bound t] to [horizon] as {!pop_min_until}
+    does. *)
 
 val pop_min_until : 'a t -> horizon:int -> (int * 'a) option
 (** [pop_min_until t ~horizon] extracts the minimum element if its

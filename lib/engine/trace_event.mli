@@ -3,8 +3,7 @@
     One variant covers the whole engine: scheduling (dispatch / preempt /
     rebind), resource charging, network queueing and drops, and the HTTP
     request lifecycle.  Subsystems construct these instead of formatting
-    strings, so exporters and tests can consume the stream structurally;
-    {!Message} remains as the string fallback for ad-hoc tracing.
+    strings, so exporters and tests can consume the stream structurally.
 
     Containers are identified by [(id, name)] pairs — the engine layer
     cannot depend on [Rescont], so events carry the identification, not the
@@ -50,13 +49,11 @@ type t =
       (** Connection closed; unread buffered rx bytes credited back. *)
   | Http_request of { conn : int; path : string; dynamic : bool }
   | Http_response of { conn : int; path : string; bytes : int }
-  | Message of { category : string; message : string }
-      (** Raw-string fallback, the pre-typed [Tracelog.emit] interface. *)
 
 val category : t -> string
 (** Stable coarse grouping used by [Tracelog.find]: "dispatch", "preempt",
     "spawn", "rebind", "kill", "irq", "migrate", "charge", "net", "netq",
-    "drop", "http", or the [Message] category. *)
+    "drop", "http". *)
 
 val render : t -> string
 (** One-line human-readable form (the legacy message text). *)

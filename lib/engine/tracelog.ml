@@ -22,14 +22,6 @@ let event t time ev =
     if t.count < t.capacity then t.count <- t.count + 1
   end
 
-let emit t time ~category message =
-  if t.on then event t time (Trace_event.Message { category; message })
-
-let emitf t time ~category fmt =
-  if t.on then
-    Format.kasprintf (fun message -> emit t time ~category message) fmt
-  else Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-
 let entries t =
   let result = ref [] in
   let start = (t.head - t.count + t.capacity) mod t.capacity in

@@ -37,9 +37,9 @@ let observe ?(capacity = 65536) () = Atomic.set observe_capacity (Some capacity)
 let observing () = Atomic.get observe_capacity <> None
 let last_rig () = Atomic.get last
 
-let make_rig ?backend ?(cpus = 1) ?(quantum = Simtime.ms 1) ?(limit_window = Simtime.ms 100)
+let make_rig ?(cpus = 1) ?(quantum = Simtime.ms 1) ?(limit_window = Simtime.ms 100)
     ?server_attrs system =
-  let sim = Sim.create ?backend () in
+  let sim = Sim.create () in
   let root = Container.create_root () in
   let invariants = Engine.Invariant.create () in
   let make_policy _cpu =
@@ -94,19 +94,6 @@ let export ?trace_out ?metrics_out rig =
   | None -> ()
 
 let run_for rig span = Machine.run_until rig.machine (Simtime.add (Sim.now rig.sim) span)
-
-let measure_window rig ~warmup ~measure counter =
-  run_for rig warmup;
-  let start = counter () in
-  run_for rig measure;
-  let finish = counter () in
-  (finish -. start) /. Simtime.span_to_sec_f measure
-
-let cpu_share_between rig container ~t0 ~busy0 ~subtree0 =
-  ignore busy0;
-  let wall = Simtime.diff (Sim.now rig.sim) t0 in
-  let used = Simtime.span_sub (Container.subtree_cpu container) subtree0 in
-  Simtime.ratio used wall
 
 (* Parallel sweep executor.  Points are independent simulations, so the
    only sharing between domains is the atomic id counters above; each

@@ -27,7 +27,6 @@ type rig = {
 }
 
 val make_rig :
-  ?backend:Engine.Sim.backend ->
   ?cpus:int ->
   ?quantum:Engine.Simtime.span ->
   ?limit_window:Engine.Simtime.span ->
@@ -38,27 +37,10 @@ val make_rig :
     warm) and a few other documents.  [server_attrs] sets the server
     process's default container attributes (default: fixed-share class
     with share 0 — i.e. a node that may own child containers but competes
-    via the timeshare residual; see {!Sched.Multilevel}).  [backend]
-    selects the event-queue backing store (default: the timer wheel). *)
+    via the timeshare residual; see {!Sched.Multilevel}). *)
 
 val run_for : rig -> Engine.Simtime.span -> unit
 (** Advance the simulation by a span. *)
-
-val measure_window :
-  rig -> warmup:Engine.Simtime.span -> measure:Engine.Simtime.span -> (unit -> float) -> float
-(** [measure_window rig ~warmup ~measure counter] runs the warmup, samples
-    [counter], runs the measurement window, and returns the counter delta
-    divided by the window length in seconds (a rate). *)
-
-val cpu_share_between :
-  rig ->
-  Rescont.Container.t ->
-  t0:Engine.Simtime.t ->
-  busy0:Engine.Simtime.span ->
-  subtree0:Engine.Simtime.span ->
-  float
-(** Fraction of {e wall-clock} time the container's subtree consumed since
-    the recorded starting point. *)
 
 val default_port : int
 val doc_path : string

@@ -16,8 +16,8 @@
    domains race to intern): warm order, eviction order, and the invariant
    fold all iterate slots, which are deterministic per cache.
 
-   {!File_cache_ref} is the executable spec: the historic hashtable
-   implementation with clock-stamp LRU, lockstepped in QCheck.  The two
+   [Spec.File_cache_ref] (test/spec) is the executable spec: the historic
+   hashtable implementation with clock-stamp LRU, lockstepped in QCheck.  The two
    agree because every stamp the spec writes is unique except for warm
    loads, which both sides define as stamped lookups in registration
    order. *)

@@ -950,19 +950,11 @@ let connect t ~src ?(src_port = 0) ~port ~handlers () =
   schedule t t.latency (fun () ->
       syn_arrival t ~src ~src_port ~port ~client:handlers ~completes:true)
 
-(* External arrival injection: the SYN hits the NIC at the instant of the
-   call, with no scheduled closure per arrival.  Open-loop arrival
-   processes (the cluster balancer) model their own wire delay and fire
-   from inside a sim event, so the per-connection [connect] closure and
-   its fixed client-side latency would be pure overhead at 10^5-10^6
-   arrivals. *)
-let inject_connect t ~src ~src_port ~port ~handlers =
-  syn_arrival t ~src ~src_port ~port ~client:handlers ~completes:true
-
-(* Deferred variant for cross-shard dispatch: the balancer runs in another
-   shard's event core and hands the arrival over at a window barrier, so
-   the SYN must hit this NIC at a future instant of this machine's sim
-   rather than "now".  One fire-and-forget event per arrival. *)
+(* External arrival injection for cross-shard dispatch: the balancer runs
+   in another shard's event core and models its own wire delay, so it
+   hands the arrival over at a window barrier and the SYN hits this NIC at
+   a future instant of this machine's sim, with no client-side latency.
+   One fire-and-forget event per arrival. *)
 let inject_connect_at t ~at ~src ~src_port ~port ~handlers =
   Sim.post_at (Machine.sim t.machine) at (fun () ->
       syn_arrival t ~src ~src_port ~port ~client:handlers ~completes:true)

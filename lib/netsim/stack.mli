@@ -154,15 +154,6 @@ val inject_syn : t -> src:Ipaddr.t -> port:int -> unit
 (** A bogus SYN (spoofed source, never completes the handshake): the
     SYN-flood attack packet of §5.7.  Arrives immediately. *)
 
-val inject_connect :
-  t -> src:Ipaddr.t -> src_port:int -> port:int -> handlers:Socket.client_handlers -> unit
-(** External arrival injection: a genuine connection attempt whose SYN
-    hits the NIC at the instant of the call — no per-arrival scheduled
-    closure and no client-side latency (the injector models its own wire
-    delay).  Must be called from inside a simulation event; open-loop
-    arrival processes (the cluster balancer) use this to drive 10^5-10^6
-    connections without allocating a closure per arrival. *)
-
 val inject_connect_at :
   t ->
   at:Engine.Simtime.t ->
@@ -171,13 +162,14 @@ val inject_connect_at :
   port:int ->
   handlers:Socket.client_handlers ->
   unit
-(** {!inject_connect} deferred to a future instant of this machine's sim:
-    the cross-shard dispatch primitive.  A balancer running in another
+(** External arrival injection: a genuine connection attempt whose SYN
+    hits the NIC at instant [at] of this machine's sim, with no
+    client-side latency (the injector models its own wire delay).  This is
+    the cross-shard dispatch primitive: a balancer running in another
     shard's event core records the arrival in a mailbox during a window
     and the barrier posts it here with [at >= window end], which is what
     keeps sharded execution conservative (no event is ever delivered into
-    a shard's past).  Unlike {!inject_connect} this schedules one
-    fire-and-forget event per arrival.
+    a shard's past).  Schedules one fire-and-forget event per arrival.
     @raise Invalid_argument if [at] is in this machine's past. *)
 
 val syn_delivery_delay : t -> Engine.Simtime.span

@@ -120,7 +120,6 @@ let busy_time_on m cpu =
    dequeue against the wrong shard silently does nothing. *)
 let home_pol m (thread : thread) = m.shards.(thread.task.Task.home_cpu)
 let thread_name thread = thread.task.Task.name
-let thread_task thread = thread.task
 let binding thread = thread.task.Task.binding
 let is_done thread = thread.state = Done
 

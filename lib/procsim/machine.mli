@@ -93,7 +93,6 @@ val spawn :
     @raise Container.Error if [container] is not a leaf. *)
 
 val thread_name : thread -> string
-val thread_task : thread -> Sched.Task.t
 val binding : thread -> Rescont.Binding.t
 val is_done : thread -> bool
 

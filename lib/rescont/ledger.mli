@@ -5,8 +5,8 @@
     roll-up walks the [parent] slot array instead of a chain of boxed
     records.  Use {!Usage} (and {!Container}'s charge operations) rather
     than this module directly; the record-based executable specification
-    of these semantics is {!Usage_ref}, and a QCheck lockstep test holds
-    the two to field-for-field agreement.
+    of these semantics is [Spec.Usage_ref] (test/spec), and a QCheck
+    lockstep test holds the two to field-for-field agreement.
 
     Slots are never reclaimed — the arena grows monotonically with the
     number of containers ever created in the domain (two slots per

@@ -15,7 +15,8 @@ let strict_memory_enabled () = Domain.DLS.get strict_memory
 (* A usage is a slot in the domain's struct-of-arrays {!Ledger} arena:
    charges and reads index flat int arrays, and this record is the only
    per-container allocation accounting ever makes.  The record-based
-   implementation these semantics are specified by is {!Usage_ref}. *)
+   implementation these semantics are specified by is [Spec.Usage_ref]
+   (test/spec). *)
 type t = { arena : Ledger.t; slot : int }
 
 let create () =
@@ -23,7 +24,6 @@ let create () =
   { arena; slot = Ledger.alloc arena }
 
 let slot t = t.slot
-let same_arena a b = a.arena == b.arena
 let renew_domain_arena = Ledger.renew
 
 let set_chain_parent t parent =

@@ -8,8 +8,8 @@
     A usage is a slot in the calling domain's struct-of-arrays {!Ledger}
     arena — charges are int stores into flat arrays, and hierarchical
     roll-up is an index walk over the arena's parent-slot array.  The
-    record-based reference semantics live in {!Usage_ref}, which a
-    QCheck lockstep property holds this module to. *)
+    record-based reference semantics live in [Spec.Usage_ref]
+    (test/spec), which a QCheck lockstep property holds this module to. *)
 
 type t
 
@@ -20,10 +20,6 @@ val slot : t -> int
     order within the domain — suitable as an array index for auxiliary
     per-container state (the schedulers index their flat state this
     way).  Slots are never reused. *)
-
-val same_arena : t -> t -> bool
-(** Whether two usages live in the same domain arena (and so may be
-    chain-linked). *)
 
 val renew_domain_arena : unit -> unit
 (** Swap in a fresh, empty ledger arena for the calling domain.  Slots

@@ -1,8 +1,9 @@
 (* Incremental reimplementation of the multilevel scheduler.  The policy's
    semantics — virtual-time weighted fair queueing per node, the
    start-time arrival rule, idle-class demotion and windowed CPU limits —
-   are specified by [Multilevel_ref], and the equivalence property test
-   holds this module to the exact pick sequence of that reference.
+   are specified by [Spec.Multilevel_ref] (test/spec), and the equivalence
+   property test holds this module to the exact pick sequence of that
+   reference.
 
    What changed is purely mechanical cost.  The original re-derived every
    decision from scratch: per pick and per node it allocated filtered

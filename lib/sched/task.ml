@@ -28,6 +28,5 @@ let create ?(kernel = false) ~name binding =
   }
 
 let container t = Rescont.Binding.resource_binding t.binding
-let scheduler_containers t = Rescont.Binding.scheduler_binding t.binding
 let equal a b = a.id = b.id
 let pp ppf t = Format.fprintf ppf "task#%d(%s)" t.id t.name

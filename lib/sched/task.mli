@@ -31,8 +31,5 @@ val create : ?kernel:bool -> name:string -> Rescont.Binding.t -> t
 val container : t -> Rescont.Container.t
 (** The task's current resource binding. *)
 
-val scheduler_containers : t -> Rescont.Container.t list
-(** The task's scheduler-binding set, most recently used first. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -16,8 +16,8 @@ let make ?(tau = Simtime.sec 1) () =
   (* Per-container decay state as two flat arrays indexed by
      [Container.slot] (dense per-domain creation order, never reused):
      the decayed usage as settled at [dlast.(slot)] nanoseconds.  Same
-     semantics as the [Decay] record module — which stays as the unit-
-     tested reference — but the badness scan over a binding set becomes
+     semantics as the [Decay] record module — which stays in the test
+     spec library as the unit-tested reference — but the badness scan over a binding set becomes
      plain float-array reads instead of a hash probe plus record chase
      per member. *)
   let cap = ref 64 in

@@ -254,25 +254,18 @@ let test_shard_stats () =
   Alcotest.(check int) "shards=2: one window per lookahead" (windows_of two) st.windows;
   Alcotest.(check bool) "shards=2: parks <= waits" true (st.parks <= st.waits)
 
-let test_sync_mode_zero_window () =
-  (* window=0 selects the synchronous pre-sharding semantics: still a
-     working cluster... *)
-  let c =
-    Cluster.create ~machines:2 ~window:Simtime.span_zero
-      ~profile:(Cluster.Poisson 2000.) ~seed:7 ()
-  in
-  Alcotest.(check int) "zero lookahead recorded" 0 (Simtime.span_to_ns (Cluster.lookahead c));
-  Cluster.start c;
-  Cluster.run_for c (Simtime.ms 300);
-  Alcotest.(check bool) "sync mode serves" true (Cluster.completed c > 300);
-  Alcotest.(check int) "sync mode runs no windows" 0 (Cluster.shard_stats c).windows;
-  (* ...but cannot be sharded: zero lookahead has no conservative window. *)
-  Alcotest.check_raises "shards>1 with zero window refused"
-    (Invalid_argument
-       "Cluster.create: a zero window (no lookahead) degenerates to the synchronous \
-        protocol and requires shards = 1")
-    (fun () ->
-      ignore (Cluster.create ~machines:2 ~shards:2 ~window:Simtime.span_zero ()))
+let test_zero_window_refused () =
+  (* Zero lookahead has no conservative window, so no shard count
+     accepts it: the windowed mailbox protocol is the only execution
+     path, also at shards=1. *)
+  List.iter
+    (fun shards ->
+      Alcotest.check_raises
+        (Printf.sprintf "shards=%d with zero window refused" shards)
+        (Invalid_argument
+           "Cluster.create: window must be positive (zero lookahead has no conservative window)")
+        (fun () -> ignore (Cluster.create ~machines:2 ~shards ~window:Simtime.span_zero ())))
+    [ 1; 2 ]
 
 let test_empty_machine_no_stall () =
   (* At 20 arrivals/s over 200 ms some machines see no traffic at all;
@@ -369,8 +362,8 @@ let suite =
     Alcotest.test_case "tiny 10us windows stay identical" `Quick
       test_shards_identical_tiny_window;
     Alcotest.test_case "shard stats: windows per lookahead" `Quick test_shard_stats;
-    Alcotest.test_case "zero window = sync mode, shards=1 only" `Quick
-      test_sync_mode_zero_window;
+    Alcotest.test_case "zero window refused at shards=1,2" `Quick
+      test_zero_window_refused;
     Alcotest.test_case "idle machines advance with the windows" `Quick
       test_empty_machine_no_stall;
     QCheck_alcotest.to_alcotest prop_sharded_rollup;

@@ -4,7 +4,7 @@
    registration-time bound that the old O(n^2) order-list append broke. *)
 
 module File_cache = Httpsim.File_cache
-module File_cache_ref = Httpsim.File_cache_ref
+module File_cache_ref = Spec.File_cache_ref
 module Docset = Httpsim.Docset
 
 let outcome_str = function

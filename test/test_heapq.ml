@@ -1,6 +1,6 @@
-(* Unit and property tests for Engine.Heapq. *)
+(* Unit and property tests for Spec.Heapq. *)
 
-module Heapq = Engine.Heapq
+module Heapq = Spec.Heapq
 
 let test_empty () =
   let q = Heapq.create () in

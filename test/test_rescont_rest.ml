@@ -4,6 +4,7 @@ module Attrs = Rescont.Attrs
 module Usage = Rescont.Usage
 module Container = Rescont.Container
 module Binding = Rescont.Binding
+module Binding_spec = Spec.Binding_spec
 module Desc_table = Rescont.Desc_table
 module Ops = Rescont.Ops
 module Simtime = Engine.Simtime

@@ -5,7 +5,7 @@ module Container = Rescont.Container
 module Attrs = Rescont.Attrs
 module Binding = Rescont.Binding
 module Task = Sched.Task
-module Decay = Sched.Decay
+module Decay = Spec.Decay
 module Runq = Sched.Runq
 
 let fixed share = Attrs.fixed_share ~share ()
@@ -546,7 +546,7 @@ let prop_multilevel_matches_reference =
           leaves
       in
       let opt = Sched.Multilevel.make ~root () in
-      let refp = Sched.Multilevel_ref.make ~root () in
+      let refp = Spec.Multilevel_ref.make ~root () in
       let leaves_arr = Array.of_list leaves in
       let groups_arr = Array.of_list groups in
       let tasks_arr = Array.of_list tasks in

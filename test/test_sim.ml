@@ -116,23 +116,65 @@ let test_step () =
   Alcotest.(check bool) "step 2" true (Sim.step sim);
   Alcotest.(check bool) "step empty" false (Sim.step sim)
 
+(* The event core's allocation claims, pinned exactly over 10^5 events
+   each: a fire-and-forget [post] and its firing allocate nothing, a
+   periodic tick allocates nothing, and a cancellable [after] costs only
+   its two-word handle.  Every iteration is its own [run_until] call, so
+   per-call costs count too. *)
+let test_event_core_allocation () =
+  let sim = Sim.create () in
+  let fired = ref 0 in
+  let f () = incr fired in
+  let span = Simtime.us 1 in
+  let words op n =
+    (* Warm the float boxes [Gc.minor_words] itself returns. *)
+    ignore (Gc.minor_words ());
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      op ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let n = 100_000 in
+  let post () =
+    Sim.post sim span f;
+    Sim.run_until sim (Simtime.add (Sim.now sim) span)
+  in
+  let tick () = Sim.run_until sim (Simtime.add (Sim.now sim) span) in
+  let after_cancel () = ignore (Sys.opaque_identity (Sim.cancel sim (Sim.after sim span f))) in
+  let empty = words ignore 0 in
+  post ();
+  Alcotest.(check (float 0.)) "words over 10^5 Sim.post + fire" 0. (words post n -. empty);
+  Alcotest.(check int) "every post fired" (n + 1) !fired;
+  let series = Sim.every sim span f in
+  tick ();
+  Alcotest.(check (float 0.)) "words over 10^5 Sim.every ticks" 0. (words tick n -. empty);
+  Alcotest.(check int) "every tick fired" ((2 * n) + 2) !fired;
+  ignore (Sim.cancel sim series);
+  after_cancel ();
+  Alcotest.(check (float 0.)) "words over 10^5 Sim.after + cancel (the handle)"
+    (float_of_int (2 * n))
+    (words after_cancel n -. empty);
+  Alcotest.(check int) "nothing left pending" 0 (Sim.pending sim)
+
 let test_tracelog () =
   let module T = Engine.Tracelog in
+  let module E = Engine.Trace_event in
   let tr = T.create ~enabled:true ~capacity:4 () in
   for i = 1 to 6 do
-    T.emitf tr (Simtime.of_ns i) ~category:"cat" "event %d" i
+    T.event tr (Simtime.of_ns i) (E.Kill { thread = Printf.sprintf "event %d" i })
   done;
   let entries = T.entries tr in
   Alcotest.(check int) "capacity bound" 4 (List.length entries);
   (match entries with
   | first :: _ ->
-      Alcotest.(check string) "oldest retained" "event 3"
-        (Engine.Trace_event.render first.T.event)
+      Alcotest.(check string) "oldest retained" "event 3" (E.render first.T.event);
+      Alcotest.(check int) "oldest timestamp" 3 (Simtime.to_ns first.T.time)
   | [] -> Alcotest.fail "no entries");
-  Alcotest.(check int) "find by category" 4 (List.length (T.find tr ~category:"cat"));
+  Alcotest.(check int) "find by category" 4 (List.length (T.find tr ~category:"kill"));
   Alcotest.(check int) "find missing" 0 (List.length (T.find tr ~category:"nope"));
   T.set_enabled tr false;
-  T.emit tr Simtime.zero ~category:"cat" "dropped";
+  T.event tr Simtime.zero (E.Kill { thread = "dropped" });
   Alcotest.(check int) "disabled drops" 4 (List.length (T.entries tr));
   T.clear tr;
   Alcotest.(check int) "cleared" 0 (List.length (T.entries tr))
@@ -206,6 +248,8 @@ let suite =
     Alcotest.test_case "periodic timer" `Quick test_every;
     Alcotest.test_case "pending count" `Quick test_pending;
     Alcotest.test_case "single stepping" `Quick test_step;
+    Alcotest.test_case "event core allocation: post, every, after" `Quick
+      test_event_core_allocation;
     Alcotest.test_case "tracelog ring buffer" `Quick test_tracelog;
     Alcotest.test_case "series and tables" `Quick test_series;
     Alcotest.test_case "figure chart rendering" `Quick test_figure_chart;

@@ -1,10 +1,12 @@
 (* Unit and property tests for Engine.Timer_wheel, centred on its
-   equivalence with Engine.Heapq: under the event-queue discipline
-   (priorities never below the last extraction) both backends must
-   produce identical extraction sequences — same priorities, same
-   insertion-order FIFO among ties, same response to cancellation. *)
+   equivalence with the binary heap it is specified by (Spec.Heapq): under
+   the event-queue discipline (priorities never below the last
+   extraction) both must produce identical extraction sequences — same
+   priorities, same insertion-order FIFO among ties, same response to
+   cancellation.  One level up, Engine.Sim is held in lockstep with
+   Spec.Sim_spec, the same driver over the heap. *)
 
-module Heapq = Engine.Heapq
+module Heapq = Spec.Heapq
 module Wheel = Engine.Timer_wheel
 module Sim = Engine.Sim
 module Simtime = Engine.Simtime
@@ -92,7 +94,7 @@ let test_clear () =
 (* {1 The equivalence property}
 
    Random schedules of interleaved inserts, cancellations and pops are
-   applied to both backends; extraction sequences (priority AND identity,
+   applied to the wheel and the heap; extraction sequences (priority AND identity,
    so same-priority FIFO ties are compared too) must match exactly.
    Inserted priorities respect the event-queue discipline: each is the
    current lower bound plus a random non-negative delta, with deltas
@@ -205,12 +207,32 @@ let prop_pop_until_equals_peek_and_pop =
 (* {1 Sim-level equivalence}
 
    The same scenario — a mix of one-shot timers, nested scheduling,
-   cancellations and periodic timers — run on a heap-backed and a
-   wheel-backed simulator must fire events in exactly the same order at
-   exactly the same simulated times. *)
+   cancellations and periodic timers — run on Engine.Sim and on the
+   heap-backed Spec.Sim_spec must fire events in exactly the same order
+   at exactly the same simulated times.  Each script is written once,
+   against this signature, and run on both drivers. *)
 
-let scripted_run backend =
-  let sim = Sim.create ~backend () in
+module type SIM = sig
+  type t
+  type event
+
+  val create : unit -> t
+  val now : t -> Simtime.t
+  val at : t -> Simtime.t -> (unit -> unit) -> event
+  val after : t -> Simtime.span -> (unit -> unit) -> event
+  val post_at : t -> Simtime.t -> (unit -> unit) -> unit
+  val post : t -> Simtime.span -> (unit -> unit) -> unit
+  val cancel : t -> event -> bool
+  val run_until : t -> Simtime.t -> unit
+  val run : t -> unit
+  val every : t -> Simtime.span -> (unit -> unit) -> event
+end
+
+let engine_sim = (module Sim : SIM)
+let spec_sim = (module Spec.Sim_spec : SIM)
+
+let scripted_run (module Sim : SIM) =
+  let sim = Sim.create () in
   let log = ref [] in
   let record tag () = log := (Simtime.to_ns (Sim.now sim), tag) :: !log in
   ignore (Sim.at sim (Simtime.of_ns 50) (record "a50"));
@@ -229,9 +251,9 @@ let scripted_run backend =
   Sim.run sim;
   (List.rev !log, Simtime.to_ns (Sim.now sim))
 
-let test_sim_backend_equivalence () =
-  let heap_log, heap_clock = scripted_run Sim.Heap in
-  let wheel_log, wheel_clock = scripted_run Sim.Wheel in
+let test_sim_matches_spec () =
+  let heap_log, heap_clock = scripted_run spec_sim in
+  let wheel_log, wheel_clock = scripted_run engine_sim in
   Alcotest.(check (list (pair int string))) "same firing sequence" heap_log wheel_log;
   Alcotest.(check int) "same final clock" heap_clock wheel_clock
 
@@ -239,8 +261,8 @@ let prop_sim_random_schedule_equivalence =
   QCheck2.Test.make ~name:"random Sim schedules fire identically on both backends" ~count:100
     QCheck2.Gen.(list_size (int_range 1 120) (pair (int_range 0 50_000) (int_range 0 10)))
     (fun script ->
-      let run backend =
-        let sim = Sim.create ~backend () in
+      let run (module Sim : SIM) =
+        let sim = Sim.create () in
         let log = ref [] in
         List.iteri
           (fun i (t, kind) ->
@@ -249,7 +271,7 @@ let prop_sim_random_schedule_equivalence =
             | 0 | 1 | 2 | 3 ->
                 ignore (Sim.at sim t (fun () -> log := (Simtime.to_ns (Sim.now sim), i) :: !log))
             | 9 | 10 ->
-                (* fire-and-forget lane; pooled on the wheel backend *)
+                (* fire-and-forget lane; pooled on the wheel *)
                 Sim.post_at sim t (fun () -> log := (Simtime.to_ns (Sim.now sim), 3000 + i) :: !log)
             | 4 | 5 ->
                 (* schedule then immediately cancel: must never fire *)
@@ -276,7 +298,7 @@ let prop_sim_random_schedule_equivalence =
         Sim.run sim;
         List.rev !log
       in
-      run Sim.Heap = run Sim.Wheel)
+      run spec_sim = run engine_sim)
 
 (* The periodic fast lane's primitive: a popped node goes back in at a
    later priority, keeping the same handle (so cancellation still works),
@@ -338,11 +360,12 @@ let test_insert_pooled () =
   Alcotest.(check (option (pair int int))) "usable after clear" (Some (600, 22)) (Wheel.pop_min w)
 
 (* Sim.post is the fire-and-forget lane end to end: posted events must
-   fire in exactly the position an [at] at the same instant would, on
-   both backends, including nested posts from inside a firing event. *)
+   fire in exactly the position an [at] at the same instant would (the
+   spec's [post] is literally an [at]), including nested posts from
+   inside a firing event. *)
 let test_sim_post_equivalence () =
-  let run backend =
-    let sim = Sim.create ~backend () in
+  let run (module Sim : SIM) =
+    let sim = Sim.create () in
     let log = ref [] in
     let record tag () = log := (Simtime.to_ns (Sim.now sim), tag) :: !log in
     Sim.post_at sim (Simtime.of_ns 40) (record "p40");
@@ -356,8 +379,8 @@ let test_sim_post_equivalence () =
     Sim.run_until sim (Simtime.of_ns 4_500);
     (List.rev !log, Simtime.to_ns (Sim.now sim))
   in
-  let heap_log, heap_clock = run Sim.Heap in
-  let wheel_log, wheel_clock = run Sim.Wheel in
+  let heap_log, heap_clock = run spec_sim in
+  let wheel_log, wheel_clock = run engine_sim in
   Alcotest.(check (list (pair int string))) "same firing sequence" heap_log wheel_log;
   Alcotest.(check int) "same final clock" heap_clock wheel_clock
 
@@ -385,7 +408,7 @@ let suite =
     Alcotest.test_case "pop_min_until commits horizon" `Quick test_pop_min_until_commits_horizon;
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "pooled inserts recycle cleanly" `Quick test_insert_pooled;
-    Alcotest.test_case "scripted Sim equivalence" `Quick test_sim_backend_equivalence;
+    Alcotest.test_case "scripted Sim equivalence" `Quick test_sim_matches_spec;
     Alcotest.test_case "Sim.post fires like Sim.at" `Quick test_sim_post_equivalence;
     QCheck_alcotest.to_alcotest prop_wheel_matches_heap;
     QCheck_alcotest.to_alcotest prop_pop_until_equals_peek_and_pop;
