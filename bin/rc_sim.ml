@@ -350,84 +350,58 @@ let zipf_cmd =
    under --inject, that the planted bug was caught on every run). *)
 let run_fuzz jobs seeds seed mode cpus machines shards zipf inject trace_out =
   let jobs = resolve_jobs jobs in
-  if cpus < 1 then begin
-    Format.eprintf "fuzz: --cpus must be >= 1@.";
-    Stdlib.exit 2
-  end;
-  if machines < 1 then begin
-    Format.eprintf "fuzz: --machines must be >= 1@.";
-    Stdlib.exit 2
-  end;
-  if zipf && machines > 1 then begin
-    Format.eprintf "fuzz: --zipf is a single-rig scenario family (drop --machines)@.";
-    Stdlib.exit 2
-  end;
-  if shards < 1 then begin
-    Format.eprintf "fuzz: --shards must be >= 1@.";
-    Stdlib.exit 2
-  end;
-  if jobs > 1 && shards > 1 then begin
-    (* Both flags claim the host's domains: --jobs runs whole scenarios on
-       worker domains, --shards splits each scenario across domains.
-       Composing them oversubscribes every core without buying anything
-       (outcomes are identical either way), so refuse rather than
-       silently thrash. *)
-    Format.eprintf
-      "fuzz: --jobs %d and --shards %d both parallelise across domains; use one or \
-       the other (scenario outcomes are identical under both)@."
-      jobs shards;
-    Stdlib.exit 2
-  end;
+  let refuse fmt =
+    Format.kasprintf
+      (fun msg ->
+        Format.eprintf "fuzz: %s@." msg;
+        Stdlib.exit 2)
+      fmt
+  in
   let modes =
     if mode = "all" then Fuzz.all_modes
     else
       match Fuzz.mode_of_string mode with
       | Some m -> [ m ]
-      | None ->
-          Format.eprintf "fuzz: unknown --mode %S (want all, softirq, lrp or rc)@." mode;
-          Stdlib.exit 2
+      | None -> refuse "unknown --mode %S (want all, softirq, lrp or rc)" mode
   in
   let inject =
     match inject with
     | None -> false
     | Some "mischarge" -> true
-    | Some other ->
-        Format.eprintf "fuzz: unknown --inject %S (only 'mischarge' is defined)@." other;
-        Stdlib.exit 2
+    | Some other -> refuse "unknown --inject %S (only 'mischarge' is defined)" other
   in
-  let seed_list =
-    match seed with Some s -> [ s ] | None -> List.init seeds (fun i -> i + 1)
+  let base =
+    match
+      Fuzz.validate
+        { (Fuzz.config ~mode:(List.hd modes) ~seed:1) with cpus; machines; shards; zipf; inject }
+    with
+    | Ok c -> c
+    | Error e -> refuse "%s" e
   in
-  let outcomes =
-    match (seed_list, modes) with
-    | [ s ], [ m ] ->
-        (* Single replay: honour --trace-out for the violation dump. *)
-        let o =
-          Fuzz.run_seed ~inject ~cpus ~machines ~shards ~zipf ?trace_path:trace_out
-            ~mode:m ~seed:s ()
-        in
-        Format.printf "%a@." Fuzz.pp_outcome o;
-        [ o ]
-    | _ when jobs > 1 ->
-        (* Each (mode, seed) scenario is a pure function of its pair, so
-           the batch fans across domains; outcomes print in batch order
-           once all runs finish. *)
-        let pairs =
-          Array.of_list
-            (List.concat_map (fun m -> List.map (fun s -> (m, s)) seed_list) modes)
-        in
-        let outcomes =
-          Experiments.Harness.Sweep.map ~jobs
-            (fun (m, s) -> Fuzz.run_seed ~inject ~cpus ~machines ~zipf ~mode:m ~seed:s ())
-            pairs
-        in
-        Array.iter (fun o -> Format.printf "%a@." Fuzz.pp_outcome o) outcomes;
-        Array.to_list outcomes
-    | _ ->
-        Fuzz.run_batch ~inject ~cpus ~machines ~shards ~zipf
-          ~log:(fun o -> Format.printf "%a@." Fuzz.pp_outcome o)
-          ~modes ~seeds:seed_list ()
+  (* Both flags claim the host's domains: --jobs runs whole scenarios on
+     worker domains, --shards splits each scenario across domains.
+     Composing them oversubscribes every core without buying anything
+     (outcomes are identical either way), so refuse rather than silently
+     thrash. *)
+  if jobs > 1 && shards > 1 then
+    refuse
+      "--jobs %d and --shards %d both parallelise across domains; use one or the other \
+       (scenario outcomes are identical under both)"
+      jobs shards;
+  let seed_list = match seed with Some s -> [ s ] | None -> List.init seeds (fun i -> i + 1) in
+  let configs =
+    Array.of_list
+      (List.concat_map
+         (fun seed -> List.map (fun mode -> { base with Fuzz.seed; mode }) modes)
+         seed_list)
   in
+  if trace_out <> None && Array.length configs > 1 then
+    refuse "--trace-out names one file, so it needs exactly one seed and one mode";
+  (* Each run is a pure function of its config, so the batch fans across
+     domains; outcomes print in config order once all runs finish. *)
+  let outcomes = Experiments.Harness.Sweep.map ~jobs (Fuzz.run ?trace_path:trace_out) configs in
+  Array.iter (fun o -> Format.printf "%a@." Fuzz.pp_outcome o) outcomes;
+  let outcomes = Array.to_list outcomes in
   let violations = List.filter (fun o -> o.Fuzz.violation <> None) outcomes in
   let total = List.length outcomes and bad = List.length violations in
   if inject then

@@ -82,8 +82,11 @@ echo "== cluster fuzz smoke (2 and 4 machines behind the balancer, rollup law ar
 dune exec bin/rc_sim.exe -- fuzz --seeds 4 --machines 2 --jobs 2
 dune exec bin/rc_sim.exe -- fuzz --seeds 4 --machines 4 --jobs 2
 
-echo "== sharded cluster fuzz smoke (same scenarios split over 4 event cores)"
-dune exec bin/rc_sim.exe -- fuzz --seeds 3 --machines 4 --shards 4
+echo "== sharded cluster fuzz smoke (same scenarios split over 4 event cores must match the unsharded run byte-for-byte)"
+dune exec bin/rc_sim.exe -- fuzz --seeds 3 --machines 4 --shards 4 > "${TMPDIR:-/tmp}/rc-fuzz-s4.txt"
+dune exec bin/rc_sim.exe -- fuzz --seeds 3 --machines 4 > "${TMPDIR:-/tmp}/rc-fuzz-s1.txt"
+cat "${TMPDIR:-/tmp}/rc-fuzz-s4.txt"
+cmp "${TMPDIR:-/tmp}/rc-fuzz-s1.txt" "${TMPDIR:-/tmp}/rc-fuzz-s4.txt"
 
 echo "== cluster oracle gate (M/G/1-PS closed form within 5% at >= 1e5 concurrent conns, sharded)"
 dune exec bin/rc_sim.exe -- cluster --check --shards 8 > /dev/null

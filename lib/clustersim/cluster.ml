@@ -154,7 +154,6 @@ type t = {
   mutable client_sojourn : Stats.Summary.t; (* connect -> response, seconds *)
   mutable started : bool;
   mutable arrivals_on : bool;
-  mutable strict : bool; (* arm_invariants was called: workers need the DLS flag *)
   mutable t0_ns : int; (* profile epoch: simulation time at [start] *)
 }
 
@@ -652,7 +651,6 @@ let create ?(machines = 4) ?(shards = 1) ?domains ?(cpus = 1) ?(mode = Stack.Rc)
       client_sojourn = Stats.Summary.create ();
       started = false;
       arrivals_on = true;
-      strict = false;
       t0_ns = 0;
     }
   in
@@ -733,8 +731,7 @@ let run_for t span =
      window (the periodic [Sim.every] sweeps still run inside windows
      at their own cadence). *)
   let work s h = Sim.run_until t.shard_sims.(s) (Simtime.of_ns h) in
-  let prepare () = Rescont.Usage.set_strict_memory t.strict in
-  Shard.run_windows ~prepare t.exec ~next ~work ~exchange:(fun h -> barrier_exchange t h);
+  Shard.run_windows t.exec ~next ~work ~exchange:(fun h -> barrier_exchange t h);
   (* Horizon quiesce: every machine's run_until is now a no-op clock
      advance plus its registry's quiesce check; then the cluster-level
      laws get the final word. *)
@@ -742,14 +739,8 @@ let run_for t span =
   check_cluster_laws t
 
 let arm_invariants ?interval t =
-  t.strict <- true;
   Engine.Invariant.arm t.cluster_laws;
-  Array.iter
-    (fun n ->
-      match interval with
-      | Some interval -> Machine.arm_invariants ~interval n.machine
-      | None -> Machine.arm_invariants n.machine)
-    t.nodes
+  Array.iter (fun n -> Machine.arm_invariants ?interval n.machine) t.nodes
 
 let check_invariants t =
   Array.fold_left (fun acc n -> acc @ Machine.check_invariants n.machine) [] t.nodes

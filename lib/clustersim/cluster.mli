@@ -118,8 +118,7 @@ val stop_arrivals : t -> unit
 (** Stop injecting new connections (existing ones drain normally). *)
 
 val arm_invariants : ?interval:Engine.Simtime.span -> t -> unit
-(** Arm every machine's registry for periodic sweeps and strict memory
-    accounting (worker domains inherit the strict flag), plus the
+(** Arm every machine's registry for periodic sweeps, plus the
     cluster-level law checks at rollup barriers. *)
 
 val check_invariants : t -> Engine.Invariant.violation list

@@ -28,7 +28,7 @@ val names : t -> string list
 
 val arm : t -> unit
 (** Mark the registry active.  Subsystems holding a registry only schedule
-    periodic checks (and enable strict charging) when it is armed. *)
+    periodic checks when it is armed. *)
 
 val disarm : t -> unit
 val armed : t -> bool

@@ -95,8 +95,7 @@ let shards t = t.shards
 let domains t = t.domains
 let stats t = { windows = t.windows; waits = t.waits; parks = t.parks }
 
-let run_sequential t ~prepare ~next ~work ~exchange =
-  prepare ();
+let run_sequential t ~next ~work ~exchange =
   let rec loop () =
     match next () with
     | None -> ()
@@ -161,7 +160,7 @@ let await b ~spin c cond ready arg =
 let gen_moved b seen = Atomic.get b.gen <> seen
 let lanes_done b () = Atomic.get b.pending = 0
 
-let run_parallel t ~prepare ~next ~work ~exchange =
+let run_parallel t ~next ~work ~exchange =
   let b =
     {
       horizon = Atomic.make 0;
@@ -187,7 +186,6 @@ let run_parallel t ~prepare ~next ~work ~exchange =
   in
   let worker lane () =
     let c = { n_waits = 0; n_parks = 0 } in
-    (try prepare () with e -> record b e (Printexc.get_raw_backtrace ()));
     let seen = ref 0 in
     await b ~spin c b.go gen_moved !seen;
     while not (Atomic.get b.stop) do
@@ -218,7 +216,6 @@ let run_parallel t ~prepare ~next ~work ~exchange =
     t.parks <- t.parks + own.n_parks
   in
   Fun.protect ~finally:shutdown (fun () ->
-      prepare ();
       let rec loop () =
         match next () with
         | None -> ()
@@ -238,6 +235,6 @@ let run_parallel t ~prepare ~next ~work ~exchange =
       in
       loop ())
 
-let run_windows ?(prepare = fun () -> ()) t ~next ~work ~exchange =
-  if t.domains = 1 then run_sequential t ~prepare ~next ~work ~exchange
-  else run_parallel t ~prepare ~next ~work ~exchange
+let run_windows t ~next ~work ~exchange =
+  if t.domains = 1 then run_sequential t ~next ~work ~exchange
+  else run_parallel t ~next ~work ~exchange

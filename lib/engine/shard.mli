@@ -76,7 +76,6 @@ val stats : t -> stats
     barrier, so [waits = parks = 0]. *)
 
 val run_windows :
-  ?prepare:(unit -> unit) ->
   t ->
   next:(unit -> int option) ->
   work:(int -> int -> unit) ->
@@ -87,9 +86,7 @@ val run_windows :
     advances one shard to the horizon (called once per shard per window,
     possibly on another domain); [exchange horizon] runs on the calling
     domain after every shard has reached the horizon — including after
-    the final window.  [prepare] runs once on every participating domain
-    (including the caller) before its first window; use it to seed
-    domain-local state such as {!Rescont.Usage.set_strict_memory}.
+    the final window.
 
     Shards are assigned to domains statically ([shard mod domains]) and
     the caller's own lane runs shard 0, so with one domain the loop is a

@@ -1,26 +1,15 @@
 (** Seeded scenario fuzzer for the conservation-law invariants.
 
-    Each run builds a randomised-but-reproducible server rig — a random
-    container hierarchy with filtered listen sockets, one of the three
-    server architectures (event-driven, thread pool, pre-forked), one of
-    the three container policies, closed-loop client groups and an
-    optional SYN flood — arms every registered conservation law
-    ({!Procsim.Machine.arm_invariants}), drives it for a random duration,
-    and reports the first violation.
-
-    A scenario is a pure function of [(seed, mode)]: a failing seed
-    replays bit-for-bit with the printed command on any machine, and the
-    run's kernel trace is dumped as JSON lines next to it.
-
-    With [machines > 1] the generated scenario is a cluster instead: N
-    machines behind the {!Clustersim.Cluster} load balancer (random
-    policy, tenants, arrival profile, optional SYN flood on a random
-    machine), with every machine's registry — including the cluster-wide
-    "cluster.usage-rollup" law — armed. *)
-
-type server_model = Event | Threaded | Forked
-
-val server_model_name : server_model -> string
+    A run takes a {!config}, draws every random choice of its scenario
+    from the seed up front ({!generate}), builds it, arms every registered
+    conservation law ({!Procsim.Machine.arm_invariants}), drives it for the
+    drawn duration and reports the first violation.  Two scenario families
+    share that path: a single server rig (random container hierarchy,
+    filtered listens, one of three server architectures and container
+    policies, closed-loop clients, an optional SYN flood) and, with
+    [machines > 1], a {!Clustersim.Cluster} behind the load balancer with
+    the cluster-wide "cluster.usage-rollup" law armed too.  A failing run
+    replays bit-for-bit from its printed {!replay_command}. *)
 
 val mode_name : Netsim.Stack.mode -> string
 val mode_of_string : string -> Netsim.Stack.mode option
@@ -28,81 +17,67 @@ val mode_of_string : string -> Netsim.Stack.mode option
 val all_modes : Netsim.Stack.mode list
 (** [Softirq; Lrp; Rc]. *)
 
-type outcome = {
-  seed : int;
+(** {1 Configs} *)
+
+type config = {
   mode : Netsim.Stack.mode;
-  cpus : int;  (** processors per machine (1 = uniprocessor) *)
+  seed : int;
+  cpus : int;  (** processors per machine *)
   machines : int;  (** 1 = single rig; > 1 = cluster behind the balancer *)
-  scenario : string;  (** one-line description of the generated scenario *)
-  zipf : bool;  (** the large-Zipf corpus family was forced *)
-  checks : int;  (** invariant sweeps that ran *)
+  shards : int;
+      (** event cores a cluster runs across; by contract the outcome at
+          any shard count equals the outcome at one but for this field *)
+  zipf : bool;
+      (** single rig only: thousands of documents against a cache a
+          fraction of the corpus, churning its eviction path *)
+  inject : bool;
+      (** charge interrupt time to a container outside the root's subtree
+          halfway through, which [cpu.conservation] must catch *)
+}
+
+val config : mode:Netsim.Stack.mode -> seed:int -> config
+(** One uniprocessor rig, no zipf corpus, nothing injected.  Other
+    configs update this record. *)
+
+val validate : config -> (config, string) result
+(** Every rule a config must satisfy: counts are positive and the zipf
+    family is single-rig.  The error names the offending flag. *)
+
+val replay_command : config -> string
+(** The one-command replay line: the seed, the mode and every setting
+    that differs from {!config}'s default. *)
+
+(** {1 Scenarios} *)
+
+type scenario
+(** Every random choice of one run, as plain data: structural equality
+    compares two scenarios. *)
+
+val generate : config -> scenario
+(** Draw the scenario from [seed], [machines] and [zipf]; the other
+    fields do not change it. *)
+
+val pp_scenario : Format.formatter -> scenario -> unit
+(** One line describing a scenario of either family. *)
+
+(** {1 Running} *)
+
+type outcome = {
+  config : config;
+  scenario : scenario;
+  checks : int;  (** invariant sweeps that ran, over every machine *)
   completed : int;  (** client requests completed *)
-  packets : int;  (** packets the stack processed *)
-  established : int;
-  injected : bool;  (** the deliberate mis-charge was planted *)
+  packets : int;  (** packets the stacks processed *)
   violation : string option;  (** [None] = every law held *)
   trace_file : string option;  (** JSONL trace written on violation *)
 }
 
-val replay_command :
-  ?inject:bool ->
-  ?cpus:int ->
-  ?machines:int ->
-  ?shards:int ->
-  ?zipf:bool ->
-  mode:Netsim.Stack.mode ->
-  seed:int ->
-  unit ->
-  string
-(** The one-command replay line printed with a violation. *)
-
-val run_seed :
-  ?inject:bool ->
-  ?cpus:int ->
-  ?machines:int ->
-  ?shards:int ->
-  ?zipf:bool ->
-  ?trace_path:string ->
-  mode:Netsim.Stack.mode ->
-  seed:int ->
-  unit ->
-  outcome
-(** Run one scenario.  [inject] plants a deliberate accounting bug
-    (interrupt time charged to a container outside the root's subtree)
-    halfway through the run, which the [cpu.conservation] law must catch —
-    the self-test that the checker checks.  [cpus] (default 1) runs the
-    same scenario on an SMP machine with one run-queue shard per
-    processor and RSS packet steering; the scenario generation is a pure
-    function of [(seed, mode)] alone, so a given seed exercises the same
-    workload at every CPU count.  [trace_path] overrides where the JSONL
-    trace is written on violation (default
-    [fuzz-<mode>-seed<seed>.trace.jsonl] in the working directory).
-    [machines > 1] selects the cluster scenario family (no trace file is
-    written — cluster machines run untraced).  [shards] (default 1,
-    cluster family only) executes the cluster across that many event
-    cores — deliberately absent from {!outcome}, because sharded
-    execution is byte-identical by contract: the same seed at any shard
-    count must produce the same outcome, and comparing them is exactly
-    the determinism check the driver's CI stage performs.  [zipf]
-    (default false, single-rig only) forces the large-Zipf corpus family:
-    thousands of heterogeneous documents against a cache a fraction of
-    the corpus size, clients on a Zipf doc mix, so the arena cache's
-    eviction path churns under the armed [cache.bytes-consistency] and
-    LRU-structure laws.  Restores the process-wide strict-memory flag on
-    exit. *)
+val run : ?trace_path:string -> config -> outcome
+(** Generate, build and run one scenario.  On a single-rig violation the
+    kernel trace is written as JSON lines to [trace_path] (default
+    [fuzz-<mode>-seed<N>] plus one tag per non-default setting, then
+    [.trace.jsonl], in the working directory); cluster machines run
+    untraced.  @raise Invalid_argument when {!validate} rejects the
+    config. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
-
-val run_batch :
-  ?inject:bool ->
-  ?cpus:int ->
-  ?machines:int ->
-  ?shards:int ->
-  ?zipf:bool ->
-  ?log:(outcome -> unit) ->
-  modes:Netsim.Stack.mode list ->
-  seeds:int list ->
-  unit ->
-  outcome list
-(** Run every (seed, mode) pair at the given CPU count (default 1),
-    calling [log] after each. *)

@@ -851,7 +851,6 @@ let arm_invariants ?(interval = Simtime.ms 10) ?starvation_bound m =
   | Some b -> m.starvation_bound <- Simtime.span_to_ns b
   | None -> ());
   Engine.Invariant.arm m.invariants;
-  Rescont.Usage.set_strict_memory true;
   ignore (Sim.every m.sim interval (fun () -> Engine.Invariant.check_exn m.invariants))
 
 let run_until m horizon =

@@ -187,10 +187,10 @@ val arm_invariants :
   ?interval:Engine.Simtime.span -> ?starvation_bound:Engine.Simtime.span -> t -> unit
 (** Arm the registry: check every law every [interval] of simulated time
     (default 10 ms) and at every {!run_until} horizon, raising
-    {!Engine.Invariant.Violation} on the first broken law.  Also switches
-    {!Rescont.Usage.set_strict_memory} on process-wide, so double refunds
-    raise at the charge site.  [starvation_bound] (default 100 ms) tunes
-    [sched.no-idle-starvation]. *)
+    {!Engine.Invariant.Violation} on the first broken law.
+    [starvation_bound] (default 100 ms) tunes [sched.no-idle-starvation].
+    Memory charging needs no arming: a double refund raises
+    {!Rescont.Usage.Negative_memory} at the charge site on every machine. *)
 
 val set_on_idle : t -> (unit -> unit) -> unit
 (** [on_idle] fires when the dispatcher finds no eligible task {e and}

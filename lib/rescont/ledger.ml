@@ -16,10 +16,9 @@
    readable (billing closes its last cycle against them) and the arena
    only ever grows — bounded by the number of containers ever created in
    the domain, two slots each, which even a long fuzz run keeps in the
-   low megabytes.  The arena is domain-local (like the strict-memory
-   flag) so parallel sweep domains never contend; cross-domain {e reads}
-   of a finished rig's usage are safe because a [Usage.t] carries its
-   arena pointer. *)
+   low megabytes.  The arena is domain-local so parallel sweep domains
+   never contend; cross-domain {e reads} of a finished rig's usage are
+   safe because a [Usage.t] carries its arena pointer. *)
 
 exception Negative_memory of { have : int; delta : int }
 
@@ -120,15 +119,14 @@ let add_tx t slot ~packets ~bytes =
   t.tx_packets.(slot) <- t.tx_packets.(slot) + packets;
   t.tx_bytes.(slot) <- t.tx_bytes.(slot) + bytes
 
-(* Under armed invariants a refund that exceeds the balance is a hard
-   accounting error; otherwise it saturates at zero, matching what a
-   defensive kernel counter would do. *)
-let add_memory t slot ~strict delta =
+(* A refund that exceeds the balance is always an accounting error (every
+   byte a container releases was charged to it first), so it raises at the
+   charging site and leaves the balance untouched. *)
+let add_memory t slot delta =
   let have = t.memory_bytes.(slot) in
   let balance = have + delta in
-  if balance < 0 then
-    if strict then raise (Negative_memory { have; delta }) else t.memory_bytes.(slot) <- 0
-  else t.memory_bytes.(slot) <- balance
+  if balance < 0 then raise (Negative_memory { have; delta });
+  t.memory_bytes.(slot) <- balance
 
 let add_disk t slot ~bytes ns =
   t.disk_reads.(slot) <- t.disk_reads.(slot) + 1;
@@ -142,7 +140,7 @@ let add_kernel_objects t slot delta = t.kernel_objects.(slot) <- t.kernel_object
    Start at [slot] and follow [parent] links to the top, applying the
    charge at every step — the container's own subtree accumulator first,
    then each ancestor's, in the same self-to-root order the old
-   record-chain walk used (the strict-memory raise point depends on it). *)
+   record-chain walk used (the negative-memory raise point depends on it). *)
 
 let add_cpu_chain t slot ~kernel ns =
   if kernel then begin
@@ -180,10 +178,10 @@ let add_tx_chain t slot ~packets ~bytes =
     i := Array.unsafe_get p !i
   done
 
-let add_memory_chain t slot ~strict delta =
+let add_memory_chain t slot delta =
   let i = ref slot in
   while !i >= 0 do
-    add_memory t !i ~strict delta;
+    add_memory t !i delta;
     i := t.parent.(!i)
   done
 

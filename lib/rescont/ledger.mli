@@ -47,9 +47,9 @@ val add_cpu : t -> int -> kernel:bool -> int -> unit
 val add_rx : t -> int -> packets:int -> bytes:int -> unit
 val add_tx : t -> int -> packets:int -> bytes:int -> unit
 
-val add_memory : t -> int -> strict:bool -> int -> unit
-(** @raise Negative_memory when [strict] and the delta would drive the
-    slot's balance negative; saturates at zero otherwise. *)
+val add_memory : t -> int -> int -> unit
+(** @raise Negative_memory when the delta would drive the slot's balance
+    negative; the balance is then left untouched. *)
 
 val add_disk : t -> int -> bytes:int -> int -> unit
 val add_kernel_objects : t -> int -> int -> unit
@@ -63,7 +63,7 @@ val add_kernel_objects : t -> int -> int -> unit
 val add_cpu_chain : t -> int -> kernel:bool -> int -> unit
 val add_rx_chain : t -> int -> packets:int -> bytes:int -> unit
 val add_tx_chain : t -> int -> packets:int -> bytes:int -> unit
-val add_memory_chain : t -> int -> strict:bool -> int -> unit
+val add_memory_chain : t -> int -> int -> unit
 val add_disk_chain : t -> int -> bytes:int -> int -> unit
 
 (** {1 Reading} *)

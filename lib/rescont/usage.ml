@@ -2,16 +2,6 @@ module Simtime = Engine.Simtime
 
 exception Negative_memory = Ledger.Negative_memory
 
-(* Under armed invariants a refund that exceeds the balance is a hard
-   accounting error; otherwise it saturates at zero, matching what a
-   defensive kernel counter would do.  The flag is domain-local so a fuzz
-   run arming invariants inside one sweep domain cannot change the
-   semantics of rigs running concurrently in other domains. *)
-let strict_memory = Domain.DLS.new_key (fun () -> false)
-
-let set_strict_memory on = Domain.DLS.set strict_memory on
-let strict_memory_enabled () = Domain.DLS.get strict_memory
-
 (* A usage is a slot in the domain's struct-of-arrays {!Ledger} arena:
    charges and reads index flat int arrays, and this record is the only
    per-container allocation accounting ever makes.  The record-based
@@ -38,8 +28,7 @@ let charge_cpu t ~kernel span = Ledger.add_cpu t.arena t.slot ~kernel (Simtime.s
 let charge_rx t ~packets ~bytes = Ledger.add_rx t.arena t.slot ~packets ~bytes
 let charge_tx t ~packets ~bytes = Ledger.add_tx t.arena t.slot ~packets ~bytes
 
-let charge_memory t delta =
-  Ledger.add_memory t.arena t.slot ~strict:(strict_memory_enabled ()) delta
+let charge_memory t delta = Ledger.add_memory t.arena t.slot delta
 
 let charge_disk t ~bytes span =
   Ledger.add_disk t.arena t.slot ~bytes (Simtime.span_to_ns span)
@@ -55,8 +44,7 @@ let charge_cpu_chain t ~kernel span =
 let charge_rx_chain t ~packets ~bytes = Ledger.add_rx_chain t.arena t.slot ~packets ~bytes
 let charge_tx_chain t ~packets ~bytes = Ledger.add_tx_chain t.arena t.slot ~packets ~bytes
 
-let charge_memory_chain t delta =
-  Ledger.add_memory_chain t.arena t.slot ~strict:(strict_memory_enabled ()) delta
+let charge_memory_chain t delta = Ledger.add_memory_chain t.arena t.slot delta
 
 let charge_disk_chain t ~bytes span =
   Ledger.add_disk_chain t.arena t.slot ~bytes (Simtime.span_to_ns span)

@@ -40,18 +40,11 @@ val charge_rx : t -> packets:int -> bytes:int -> unit
 val charge_tx : t -> packets:int -> bytes:int -> unit
 val charge_memory : t -> int -> unit
 (** Adjust current memory held by a (possibly negative) byte delta.  A
-    delta that would drive the balance negative (a double refund) either
-    saturates the balance at zero (default) or raises {!Negative_memory}
-    when strict mode is on — see {!set_strict_memory}. *)
+    delta that would drive the balance negative (a double refund) is an
+    accounting bug: it raises {!Negative_memory} at the charging site and
+    leaves the balance untouched. *)
 
 exception Negative_memory of { have : int; delta : int }
-
-val set_strict_memory : bool -> unit
-(** Enable/disable strict memory accounting process-wide.  Armed invariant
-    registries switch this on so a double refund fails loudly at the
-    charging site rather than silently saturating. *)
-
-val strict_memory_enabled : unit -> bool
 
 val incr_kernel_objects : t -> unit
 val decr_kernel_objects : t -> unit

@@ -53,12 +53,10 @@ let charge_tx t ~packets ~bytes =
   t.tx_packets <- t.tx_packets + packets;
   t.tx_bytes <- t.tx_bytes + bytes
 
-let charge_memory t ~strict delta =
+let charge_memory t delta =
   let balance = t.memory_bytes + delta in
-  if balance < 0 then
-    if strict then raise (Negative_memory { have = t.memory_bytes; delta })
-    else t.memory_bytes <- 0
-  else t.memory_bytes <- balance
+  if balance < 0 then raise (Negative_memory { have = t.memory_bytes; delta });
+  t.memory_bytes <- balance
 
 let charge_disk t ~bytes span =
   t.disk_reads <- t.disk_reads + 1;

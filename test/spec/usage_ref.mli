@@ -16,9 +16,9 @@ val charge_cpu : t -> kernel:bool -> Engine.Simtime.span -> unit
 val charge_rx : t -> packets:int -> bytes:int -> unit
 val charge_tx : t -> packets:int -> bytes:int -> unit
 
-val charge_memory : t -> strict:bool -> int -> unit
-(** @raise Negative_memory when [strict] and the delta would drive the
-    balance negative; saturates at zero otherwise. *)
+val charge_memory : t -> int -> unit
+(** @raise Negative_memory when the delta would drive the balance
+    negative; the balance is then left untouched. *)
 
 val charge_disk : t -> bytes:int -> Engine.Simtime.span -> unit
 val incr_kernel_objects : t -> unit

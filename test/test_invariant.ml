@@ -1,5 +1,5 @@
 (* Tests for the conservation-law invariant checker: the registry itself,
-   the machine/scheduler/stack/cache laws, and the strict-memory mode. *)
+   the machine/scheduler/stack/cache laws, and the negative-memory rule. *)
 
 module Simtime = Engine.Simtime
 module Sim = Engine.Sim
@@ -12,12 +12,6 @@ module Process = Procsim.Process
 module Socket = Netsim.Socket
 module Stack = Netsim.Stack
 module Ipaddr = Netsim.Ipaddr
-
-(* Restore the process-wide strict-memory flag no matter how a test ends. *)
-let with_strict_memory on f =
-  let before = Usage.strict_memory_enabled () in
-  Usage.set_strict_memory on;
-  Fun.protect ~finally:(fun () -> Usage.set_strict_memory before) f
 
 (* {1 Registry} *)
 
@@ -109,44 +103,38 @@ let test_mischarge_caught () =
 let test_armed_machine_raises_at_quiesce () =
   let sim, _root, machine = make_machine () in
   Machine.arm_invariants machine;
-  with_strict_memory false (fun () ->
-      let detached = Container.create_detached ~name:"outside" () in
-      ignore
-        (Sim.after sim (Simtime.ms 1) (fun () ->
-             Machine.steal_time machine ~cost:(Simtime.us 50) ~charge:(`Container detached)));
-      Alcotest.(check bool) "run_until raises Violation" true
-        (try
-           Machine.run_until machine (Simtime.add (Sim.now sim) (Simtime.sec 1));
-           false
-         with Invariant.Violation v -> v.Invariant.law = "cpu.conservation"))
+  let detached = Container.create_detached ~name:"outside" () in
+  ignore
+    (Sim.after sim (Simtime.ms 1) (fun () ->
+         Machine.steal_time machine ~cost:(Simtime.us 50) ~charge:(`Container detached)));
+  Alcotest.(check bool) "run_until raises Violation" true
+    (try
+       Machine.run_until machine (Simtime.add (Sim.now sim) (Simtime.sec 1));
+       false
+     with Invariant.Violation v -> v.Invariant.law = "cpu.conservation")
 
 let test_armed_machine_checks_periodically () =
   let sim, root, machine = make_machine () in
-  with_strict_memory false (fun () ->
-      Machine.arm_invariants ~interval:(Simtime.ms 5) machine;
-      ignore
-        (Machine.spawn machine ~name:"spin" ~container:root (fun () ->
-             for _ = 1 to 20 do
-               Machine.cpu (Simtime.ms 2)
-             done));
-      Machine.run_until machine (Simtime.add (Sim.now sim) (Simtime.ms 100));
-      let sweeps = Invariant.checks_run (Machine.invariants machine) in
-      Alcotest.(check bool) "periodic sweeps ran" true (sweeps >= 10))
+  Machine.arm_invariants ~interval:(Simtime.ms 5) machine;
+  ignore
+    (Machine.spawn machine ~name:"spin" ~container:root (fun () ->
+         for _ = 1 to 20 do
+           Machine.cpu (Simtime.ms 2)
+         done));
+  Machine.run_until machine (Simtime.add (Sim.now sim) (Simtime.ms 100));
+  let sweeps = Invariant.checks_run (Machine.invariants machine) in
+  Alcotest.(check bool) "periodic sweeps ran" true (sweeps >= 10)
 
-(* {1 Strict memory mode} *)
+(* {1 Negative memory} *)
 
-let test_memory_clamp_vs_raise () =
+(* No registry is armed here: an over-refund is an accounting bug on every
+   usage, armed or not. *)
+let test_memory_over_refund_raises () =
   let u = Usage.create () in
-  with_strict_memory false (fun () ->
-      Usage.charge_memory u 100;
-      Usage.charge_memory u (-250);
-      Alcotest.(check int) "saturates at zero when lenient" 0 (Usage.memory_bytes u));
-  let u2 = Usage.create () in
-  with_strict_memory true (fun () ->
-      Usage.charge_memory u2 100;
-      Alcotest.(check bool) "over-refund raises when strict" true
-        (try Usage.charge_memory u2 (-250); false with Usage.Negative_memory _ -> true);
-      Alcotest.(check int) "balance untouched by the failed charge" 100 (Usage.memory_bytes u2))
+  Usage.charge_memory u 100;
+  Alcotest.(check bool) "over-refund raises" true
+    (try Usage.charge_memory u (-250); false with Usage.Negative_memory _ -> true);
+  Alcotest.(check int) "balance untouched by the failed charge" 100 (Usage.memory_bytes u)
 
 (* {1 Stack and cache law registration} *)
 
@@ -187,14 +175,13 @@ let test_net_laws_hold_under_traffic () =
     Httpsim.Event_server.create ~stack ~process:proc ~cache ~listens:[ listen ] ()
   in
   ignore (Httpsim.Event_server.start server);
-  with_strict_memory false (fun () ->
-      Machine.arm_invariants ~interval:(Simtime.ms 2) machine;
-      let clients = Workload.Sclient.create ~stack ~port:80 ~path:"/doc/1k" ~count:3 () in
-      Workload.Sclient.start clients;
-      Machine.run_until machine (Simtime.add (Sim.now sim) (Simtime.ms 200));
-      Alcotest.(check bool) "requests flowed" true (Workload.Sclient.completed clients > 10);
-      Alcotest.(check int) "no violations across the run" 0
-        (Invariant.violations_seen (Machine.invariants machine)))
+  Machine.arm_invariants ~interval:(Simtime.ms 2) machine;
+  let clients = Workload.Sclient.create ~stack ~port:80 ~path:"/doc/1k" ~count:3 () in
+  Workload.Sclient.start clients;
+  Machine.run_until machine (Simtime.add (Sim.now sim) (Simtime.ms 200));
+  Alcotest.(check bool) "requests flowed" true (Workload.Sclient.completed clients > 10);
+  Alcotest.(check int) "no violations across the run" 0
+    (Invariant.violations_seen (Machine.invariants machine))
 
 let suite =
   [
@@ -206,7 +193,7 @@ let suite =
     Alcotest.test_case "mis-charge caught" `Quick test_mischarge_caught;
     Alcotest.test_case "armed machine raises at quiesce" `Quick test_armed_machine_raises_at_quiesce;
     Alcotest.test_case "periodic sweeps" `Quick test_armed_machine_checks_periodically;
-    Alcotest.test_case "memory clamp vs strict raise" `Quick test_memory_clamp_vs_raise;
+    Alcotest.test_case "memory over-refund raises" `Quick test_memory_over_refund_raises;
     Alcotest.test_case "subsystem laws registered" `Quick test_subsystem_laws_registered;
     Alcotest.test_case "net laws hold under traffic" `Quick test_net_laws_hold_under_traffic;
   ]

@@ -567,45 +567,40 @@ let test_tables_bounded_under_container_churn () =
    draining and closing afterwards refunds the new container for bytes it
    was never charged — a negative balance. *)
 let test_rebind_moves_buffered_charge () =
-  let strict_before = Rescont.Usage.strict_memory_enabled () in
-  Rescont.Usage.set_strict_memory true;
-  Fun.protect
-    ~finally:(fun () -> Rescont.Usage.set_strict_memory strict_before)
-    (fun () ->
-      let rig = make_rig Stack.Rc in
-      let listen = Socket.make_listen ~port:80 () in
-      Stack.add_listen rig.stack listen;
-      let the_conn = ref None in
-      connect_one rig ~on_established:(fun conn -> the_conn := Some conn);
-      run rig (Simtime.ms 10);
-      let conn = match !the_conn with Some c -> c | None -> Alcotest.fail "no conn" in
-      Stack.client_send rig.stack conn (Payload.make ~tag:"r" ~bytes:500 (Sim.now rig.sim));
-      run rig (Simtime.ms 10);
-      Alcotest.(check int) "charged to the pre-bind owner" 500
-        (Rescont.Usage.memory_bytes (Container.usage rig.owner));
-      (* The server accepts and gives the connection its own container —
-         the per-connection policy. *)
-      let per_conn = Container.create ~parent:rig.root ~name:"conn-1" () in
-      Socket.bind_container conn per_conn;
-      Alcotest.(check int) "charge moved off the old owner" 0
-        (Rescont.Usage.memory_bytes (Container.usage rig.owner));
-      Alcotest.(check int) "charge moved onto the new container" 500
-        (Rescont.Usage.memory_bytes (Container.usage per_conn));
-      (* Drain then close: both refunds must hit the rebound container
-         without driving any balance negative (strict mode would raise). *)
-      ignore (Stack.recv rig.stack conn);
-      Alcotest.(check int) "drain refunds the new container" 0
-        (Rescont.Usage.memory_bytes (Container.usage per_conn));
-      Stack.client_send rig.stack conn (Payload.make ~tag:"s" ~bytes:300 (Sim.now rig.sim));
-      run rig (Simtime.ms 10);
-      ignore
-        (Machine.spawn rig.machine ~name:"closer" ~container:rig.owner (fun () ->
-             Stack.close rig.stack conn));
-      run rig (Simtime.ms 10);
-      Alcotest.(check int) "close refunds the rebound container too" 0
-        (Rescont.Usage.memory_bytes (Container.usage per_conn));
-      Alcotest.(check int) "whole subtree balances" 0
-        (Rescont.Usage.memory_bytes (Container.subtree_usage rig.root)))
+  let rig = make_rig Stack.Rc in
+  let listen = Socket.make_listen ~port:80 () in
+  Stack.add_listen rig.stack listen;
+  let the_conn = ref None in
+  connect_one rig ~on_established:(fun conn -> the_conn := Some conn);
+  run rig (Simtime.ms 10);
+  let conn = match !the_conn with Some c -> c | None -> Alcotest.fail "no conn" in
+  Stack.client_send rig.stack conn (Payload.make ~tag:"r" ~bytes:500 (Sim.now rig.sim));
+  run rig (Simtime.ms 10);
+  Alcotest.(check int) "charged to the pre-bind owner" 500
+    (Rescont.Usage.memory_bytes (Container.usage rig.owner));
+  (* The server accepts and gives the connection its own container —
+     the per-connection policy. *)
+  let per_conn = Container.create ~parent:rig.root ~name:"conn-1" () in
+  Socket.bind_container conn per_conn;
+  Alcotest.(check int) "charge moved off the old owner" 0
+    (Rescont.Usage.memory_bytes (Container.usage rig.owner));
+  Alcotest.(check int) "charge moved onto the new container" 500
+    (Rescont.Usage.memory_bytes (Container.usage per_conn));
+  (* Drain then close: both refunds must hit the rebound container
+     without driving any balance negative (that would raise). *)
+  ignore (Stack.recv rig.stack conn);
+  Alcotest.(check int) "drain refunds the new container" 0
+    (Rescont.Usage.memory_bytes (Container.usage per_conn));
+  Stack.client_send rig.stack conn (Payload.make ~tag:"s" ~bytes:300 (Sim.now rig.sim));
+  run rig (Simtime.ms 10);
+  ignore
+    (Machine.spawn rig.machine ~name:"closer" ~container:rig.owner (fun () ->
+         Stack.close rig.stack conn));
+  run rig (Simtime.ms 10);
+  Alcotest.(check int) "close refunds the rebound container too" 0
+    (Rescont.Usage.memory_bytes (Container.usage per_conn));
+  Alcotest.(check int) "whole subtree balances" 0
+    (Rescont.Usage.memory_bytes (Container.subtree_usage rig.root))
 
 (* Every half-open connection that dies — evicted on overflow or timed out
    — is dropped {e exactly once}: the listener's counter, the stack-wide

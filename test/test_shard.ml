@@ -170,18 +170,6 @@ let test_worker_exception_propagates () =
   Alcotest.check_raises "worker failure re-raised on caller" (boom 300) run;
   Alcotest.check_raises "executor reusable after failure" (boom 300) run
 
-let test_prepare_runs_everywhere () =
-  let count = Atomic.make 0 in
-  let exec = Shard.create ~shards:4 ~domains:4 () in
-  let cursor = ref 0 in
-  let next () = if !cursor >= 200 then None else (cursor := !cursor + 100; Some !cursor) in
-  Shard.run_windows exec
-    ~prepare:(fun () -> Atomic.incr count)
-    ~next
-    ~work:(fun _ _ -> ())
-    ~exchange:(fun _ -> ());
-  Alcotest.(check int) "prepare ran once per domain" 4 (Atomic.get count)
-
 (* Windows of a fixed-length toy run: horizons 1, 2, ..., [n]. *)
 let counter_next n =
   let cursor = ref 0 in
@@ -307,7 +295,6 @@ let suite =
       test_boundary_tie_local_first;
     Alcotest.test_case "worker exception propagates to caller" `Quick
       test_worker_exception_propagates;
-    Alcotest.test_case "prepare runs on every domain" `Quick test_prepare_runs_everywhere;
     Alcotest.test_case "stats: windows = horizons returned" `Quick test_stats_count_windows;
     Alcotest.test_case "stats: oversubscribed waits all park" `Quick
       test_oversubscribed_never_spins;

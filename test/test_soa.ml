@@ -170,8 +170,6 @@ let prop_usage_lockstep =
     (fun ops ->
       let u = Usage.create () in
       let r = Usage_ref.create () in
-      let prev_strict = Usage.strict_memory_enabled () in
-      Fun.protect ~finally:(fun () -> Usage.set_strict_memory prev_strict) @@ fun () ->
       let agree what a b =
         if a <> b then QCheck2.Test.fail_reportf "%s: arena %d, spec %d" what a b
       in
@@ -191,11 +189,9 @@ let prop_usage_lockstep =
               Usage_ref.charge_tx r ~packets:a ~bytes:b
           | 3 ->
               (* Mixed-sign deltas probe the negative-memory rule; the two
-                 implementations must agree on saturate vs raise and on
-                 the exception payload. *)
+                 implementations must agree on the raise point and on the
+                 exception payload. *)
               let delta = b - 400 in
-              let strict = a land 1 = 1 in
-              Usage.set_strict_memory strict;
               let outcome_u =
                 try
                   Usage.charge_memory u delta;
@@ -204,13 +200,12 @@ let prop_usage_lockstep =
               in
               let outcome_r =
                 try
-                  Usage_ref.charge_memory r ~strict delta;
+                  Usage_ref.charge_memory r delta;
                   None
                 with Usage_ref.Negative_memory { have; delta } -> Some (have, delta)
               in
               if outcome_u <> outcome_r then
-                QCheck2.Test.fail_reportf "negative-memory rule disagrees (delta %d, strict %b)"
-                  delta strict
+                QCheck2.Test.fail_reportf "negative-memory rule disagrees (delta %d)" delta
           | 4 ->
               let span = Simtime.span_of_ns (10 * a) in
               Usage.charge_disk u ~bytes:b span;
